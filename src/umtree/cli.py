@@ -140,6 +140,7 @@ def cmd_genum(args) -> int:
 
     level = args.level if args.level is not None else t.n_attributes
     clusters = genlattice.clusters_at_level(t, level)
+    pairs = {v: genlattice.pairs_for_node(t, v) for v in lattice.vertices}
     report = {
         "vertices": [
             {"set": sorted(attr[j] for j in v), "level": len(v)}
@@ -147,9 +148,7 @@ def cmd_genum(args) -> int:
         ],
         "edges": [[setname(a), setname(b)] for a, b in lattice.edges],
         "pairs": {
-            setname(v): [[obj[i], obj[j]] for i, j in genlattice.pairs_for_node(t, v)]
-            for v in lattice.vertices
-            if genlattice.pairs_for_node(t, v)
+            setname(v): [[obj[i], obj[j]] for i, j in p] for v, p in pairs.items() if p
         },
         "clusters": {
             str(level): [sorted(obj[i] for i in c) for c in clusters]
@@ -163,10 +162,9 @@ def cmd_genum(args) -> int:
             if row:
                 lines.append(f"{'   '.join(row):<28} {lev}")
         lines.append("")
-        for v in lattice.vertices:
-            pairs = genlattice.pairs_for_node(t, v)
-            if pairs:
-                plist = ", ".join(f"d({obj[i]},{obj[j]})" for i, j in pairs)
+        for v, p in pairs.items():
+            if p:
+                plist = ", ".join(f"d({obj[i]},{obj[j]})" for i, j in p)
                 lines.append(f"The subset {setname(v)} corresponds to: {plist}")
         lines.append("")
         lines.append(f"Clusters defined by all pairwise linkage at level <= {level}:")

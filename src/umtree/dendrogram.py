@@ -36,6 +36,8 @@ class DistanceMatrix:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
+        if not np.isfinite(v).all():
+            raise ValueError("distances must be finite")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("distance matrix must be square")
         if not np.allclose(v, v.T):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,16 +63,16 @@ def load_csv(text_or_path, columns=None) -> Table:
     """Read a CSV table: first row headers, first column row labels if
     its header cell is empty or non-numeric data appears there.
 
-    columns optionally selects a subset of column names.
+    text_or_path is a file object, CSV text (a string holding a newline)
+    or a path.  columns optionally selects a subset of column names.
     """
     if hasattr(text_or_path, "read"):
         text = text_or_path.read()
+    elif isinstance(text_or_path, str) and "\n" in text_or_path:
+        text = text_or_path
     else:
-        try:
-            with open(text_or_path, "r", newline="") as fh:
-                text = fh.read()
-        except (OSError, ValueError):
-            text = str(text_or_path)
+        with open(text_or_path, "r", newline="") as fh:
+            text = fh.read()
     rows = [r for r in csv.reader(io.StringIO(text)) if r]
     if len(rows) < 2:
         raise ValueError("CSV needs a header row and at least one data row")
@@ -117,15 +117,55 @@ def euclidean_matrix(data) -> DistanceMatrix:
     return DistanceMatrix(np.minimum(d, d.T))
 
 
+def to_mask(attributes) -> int:
+    """Attribute set as an int bitmask: bit a is set iff a is a member."""
+    mask = 0
+    for a in attributes:
+        mask |= 1 << int(a)
+    return mask
+
+
+def from_mask(mask: int) -> tuple:
+    """Members of an int bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def row_masks(x: np.ndarray) -> np.ndarray:
+    """Each row of a boolean matrix as an int bitmask (bit j = column j).
+
+    Python ints in an object array, so any number of columns fits.
+    """
+    packed = np.packbits(np.asarray(x, dtype=bool), axis=1, bitorder="little")
+    return np.array([int.from_bytes(r.tobytes(), "little") for r in packed], dtype=object)
+
+
 @dataclass(frozen=True)
 class SetValuedDistanceTable:
-    """Map from unordered object pairs to subsets of the attribute set J."""
+    """Map from unordered object pairs to subsets of the attribute set J.
+
+    From dist the table derives the same distances on int bitmasks:
+    masks lists each distinct distance set once, and codes[k] is the
+    index in masks of the k-th pair in lexicographic order.
+    """
 
     n: int
     n_attributes: int
     dist: dict
     object_labels: tuple = None
     attribute_labels: tuple = None
+    masks: tuple = field(init=False, repr=False, compare=False)
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        i, j = np.triu_indices(self.n, 1)
+        sets, codes = _factorize(map(self.dist.__getitem__, zip(i.tolist(), j.tolist())))
+        object.__setattr__(self, "masks", tuple(map(to_mask, sets)))
+        object.__setattr__(self, "codes", codes)
 
     def __getitem__(self, ij) -> frozenset:
         i, j = ij
@@ -133,6 +173,13 @@ class SetValuedDistanceTable:
 
     def pairs(self):
         return sorted(self.dist)
+
+
+def _factorize(values) -> tuple:
+    """(distinct values in first-seen order, index of each value among them)."""
+    index = {}
+    codes = [index.setdefault(v, len(index)) for v in values]
+    return tuple(index), np.array(codes, dtype=np.intp)
 
 
 def _bool_values(data) -> np.ndarray:
@@ -150,14 +197,19 @@ def simple_matching_setvalued(data, i: int, j: int) -> frozenset:
 
 
 def setvalued_table(data) -> SetValuedDistanceTable:
-    """All pairwise set-valued distances (distinct pairs only)."""
+    """All pairwise set-valued distances (distinct pairs only).
+
+    Every pair's distance mask is full & ~(w_i & w_j), with w the rows'
+    attribute masks; all pairs with one distance share one frozenset.
+    """
     x = _bool_values(data)
     n, m = x.shape
-    dist = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            both = (x[i] == 1) & (x[j] == 1)
-            dist[(i, j)] = frozenset(np.flatnonzero(~both).tolist())
+    full = (1 << m) - 1
+    w = row_masks(x == 1)
+    i, j = np.triu_indices(n, 1)
+    masks, codes = _factorize((full & ~(w[i] & w[j])).tolist())
+    sets = [frozenset(from_mask(mask)) for mask in masks]
+    dist = dict(zip(zip(i.tolist(), j.tolist()), [sets[c] for c in codes.tolist()]))
     row_labels = data.row_labels if isinstance(data, Table) else None
     col_labels = data.col_labels if isinstance(data, Table) else None
     return SetValuedDistanceTable(n, m, dist, row_labels, col_labels)

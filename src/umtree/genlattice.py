@@ -4,16 +4,20 @@ The distinct pair-distance sets, closed under union, form a join
 semilattice ordered by inclusion and leveled by cardinality.  Level
 clusters at level k are the maximal object sets whose internal pair
 distances all fit inside a single maximal lattice node of level <= k.
+
+Sets are handled as int bitmasks (see dissim.to_mask) and returned as
+frozensets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
-import networkx as nx
+import numpy as np
 
-from .dissim import SetValuedDistanceTable
+from .dissim import SetValuedDistanceTable, from_mask, row_masks, to_mask
 
 __all__ = [
     "Semilattice",
@@ -24,8 +28,9 @@ __all__ = [
 ]
 
 
-def _vertex_key(s: frozenset):
-    return (len(s), tuple(sorted(s)))
+def _mask_key(mask: int):
+    """Order of vertices and clusters: size, then sorted members."""
+    return (mask.bit_count(), from_mask(mask))
 
 
 @dataclass(frozen=True)
@@ -35,11 +40,15 @@ class Semilattice:
     vertices: tuple  # frozensets, sorted by (level, members)
     edges: tuple  # covering pairs (lower, upper), both vertices
 
+    @cached_property
+    def _vertex_set(self) -> frozenset:
+        return frozenset(self.vertices)
+
     def level(self, node: frozenset) -> int:
         return len(node)
 
     def __contains__(self, node) -> bool:
-        return frozenset(node) in set(self.vertices)
+        return frozenset(node) in self._vertex_set
 
     def join(self, a, b) -> frozenset:
         u = frozenset(a) | frozenset(b)
@@ -48,42 +57,74 @@ class Semilattice:
         return u
 
 
-def _union_closure(sets):
-    family = set(map(frozenset, sets))
-    frontier = set(family)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in family:
-                u = a | b
-                if u not in family and u not in new:
-                    new.add(u)
-        family |= new
-        frontier = new
-    return family
+def _union_closure(masks) -> list:
+    """All unions of nonempty subfamilies, in vertex order: adding a
+    generator g adds g and f | g for every f already there."""
+    family = set()
+    for g in masks:
+        family |= {g} | {f | g for f in family}
+    return sorted(family, key=_mask_key)
+
+
+def _cover_edges(order) -> list:
+    """Covering pairs of the inclusion order on masks listed by size.
+
+    The strict supersets of lo come after it, smaller ones first.  One
+    of them is an upper cover of lo iff no cover found before it lies
+    below it, since any set strictly between lies above such a cover.
+    """
+    edges = []
+    for k, lo in enumerate(order):
+        covers = []
+        for hi in order[k + 1:]:
+            if hi & lo == lo and not any(c & hi == c for c in covers):
+                covers.append(hi)
+        edges.extend((lo, hi) for hi in covers)
+    return edges
 
 
 def build_lattice(t: SetValuedDistanceTable) -> Semilattice:
     """Union-closure of the observed distance sets, with cover edges."""
-    observed = set(t.dist.values())
-    family = _union_closure(observed)
-    vertices = tuple(sorted(family, key=_vertex_key))
-    edges = []
-    for lo, hi in combinations(vertices, 2):
-        if lo < hi and not any(
-            lo < mid < hi for mid in vertices if mid not in (lo, hi)
-        ):
-            edges.append((lo, hi))
-    return Semilattice(vertices, tuple(edges))
+    order = _union_closure(t.masks)
+    sets = {v: frozenset(from_mask(v)) for v in order}
+    edges = tuple((sets[lo], sets[hi]) for lo, hi in _cover_edges(order))
+    return Semilattice(tuple(sets.values()), edges)
 
 
 def pairs_for_node(t: SetValuedDistanceTable, node) -> list:
     """Pairs whose distance set equals the node exactly."""
-    node = frozenset(node)
-    lattice = build_lattice(t)
-    if node not in lattice:
+    mask = to_mask(node)
+    inside = [m for m in t.masks if m & mask == m]
+    union = 0
+    for m in inside:
+        union |= m
+    # a vertex is exactly the union of the observed sets it contains
+    if not inside or union != mask:
         raise KeyError(f"{sorted(node)} is not a lattice vertex")
-    return sorted(p for p, s in t.dist.items() if s == node)
+    hit = np.array([m == mask for m in t.masks], dtype=bool)[t.codes]
+    i, j = np.triu_indices(t.n, 1)
+    return list(zip(i[hit].tolist(), j[hit].tolist()))
+
+
+def _maximal_cliques(adj) -> list:
+    """Maximal cliques, as bitmasks, of the graph whose vertex v has the
+    neighbour bitmask adj[v]: Bron-Kerbosch with Tomita et al.'s (2006)
+    pivot, on an explicit stack so that clique size is not limited by
+    recursion depth."""
+    cliques = []
+    stack = [(0, (1 << len(adj)) - 1, 0)] if len(adj) else []  # (clique, candidates, excluded)
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                cliques.append(r)
+            continue
+        pivot = max(from_mask(p | x), key=lambda u: (p & adj[u]).bit_count())
+        for v in from_mask(p & ~adj[pivot]):
+            stack.append((r | 1 << v, p & adj[v], x & adj[v]))
+            p &= ~(1 << v)
+            x |= 1 << v
+    return cliques
 
 
 def clusters_at_level(t: SetValuedDistanceTable, k: int) -> list:
@@ -92,16 +133,21 @@ def clusters_at_level(t: SetValuedDistanceTable, k: int) -> list:
     if not 0 <= k <= t.n_attributes:
         raise ValueError(f"level {k} out of range 0..{t.n_attributes}")
     lattice = build_lattice(t)
-    eligible = [v for v in lattice.vertices if len(v) <= k]
-    maximal = [v for v in eligible if not any(v < w for w in eligible)]
-    clusters = {frozenset([i]) for i in range(t.n)}
-    for node in maximal:
-        g = nx.Graph()
-        g.add_nodes_from(range(t.n))
-        g.add_edges_from(p for p, s in t.dist.items() if s <= node)
-        clusters.update(map(frozenset, nx.find_cliques(g)))
-    keep = [c for c in clusters if not any(c < d for d in clusters)]
-    return sorted(keep, key=_vertex_key)
+    eligible = [to_mask(v) for v in lattice.vertices if len(v) <= k]
+    maximal = [v for v in eligible if not any(v != w and v & w == v for w in eligible)]
+    i, j = np.triu_indices(t.n, 1)
+    cliques = set()
+    # with no eligible node, 0 is not an observed set and links no pair
+    for node in maximal or [0]:
+        linked = np.array([m & node == m for m in t.masks], dtype=bool)[t.codes]
+        adj = np.zeros((t.n, t.n), dtype=bool)
+        adj[i[linked], j[linked]] = True
+        cliques.update(_maximal_cliques(row_masks(adj | adj.T)))
+    keep = []
+    for c in sorted(cliques, key=int.bit_count, reverse=True):
+        if not any(c & d == c for d in keep):
+            keep.append(c)
+    return [frozenset(from_mask(c)) for c in sorted(keep, key=_mask_key)]
 
 
 def triangle_violations(t: SetValuedDistanceTable) -> list:

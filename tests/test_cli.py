@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import umtree
 from umtree.cli import main
 from umtree.datasets import bool5, iris8
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_iris(path):
@@ -69,6 +76,11 @@ class TestCluster:
         bad = tmp_path / "empty.csv"
         bad.write_text("")
         assert main(["cluster", "--input", str(bad), "--out", "x"]) == 2
+
+    def test_missing_input_named(self, tmp_path, capsys):
+        path = str(tmp_path / "no_such.csv")
+        assert main(["cluster", "--input", path, "--out", "x"]) == 2
+        assert path in capsys.readouterr().err
 
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as exc:
@@ -189,6 +201,26 @@ class TestGenum:
 
     def test_non_boolean_rejected(self, tmp_path, iris_csv):
         assert main(["genum", "--input", str(iris_csv), "--out", "x"]) == 2
+
+    def test_golden_40x5(self, tmp_path):
+        # the expected bytes were written by the frozenset implementation of
+        # the set-valued layer; genum output must not change with its engine
+        out, txt = tmp_path / "lattice.json", tmp_path / "lattice.txt"
+        assert main([
+            "genum", "--input", str(DATA / "genum_40x5.csv"), "--level", "2",
+            "--out", str(out), "--text", str(txt),
+        ]) == 0
+        assert out.read_bytes() == (DATA / "genum_40x5_level2.json").read_bytes()
+        assert txt.read_bytes() == (DATA / "genum_40x5_level2.txt").read_bytes()
+
+
+def test_cli_import_leaves_out_networkx():
+    src = Path(umtree.__file__).resolve().parents[1]
+    code = "import sys, umtree.cli; print('networkx' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert run.stdout.strip() == "False"
 
 
 class TestCanon:

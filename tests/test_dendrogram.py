@@ -186,3 +186,8 @@ class TestDistanceMatrix:
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError):
             DistanceMatrix(np.array([[1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DistanceMatrix(np.array([[0.0, bad], [bad, 0.0]]))

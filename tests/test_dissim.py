@@ -84,6 +84,17 @@ class TestSetValuedTable:
         for (i, j), s in t.dist.items():
             assert s == simple_matching_setvalued(data, i, j)
 
+    def test_wide_rows(self, rng):
+        # masks are Python ints, so more attributes than a machine word fit
+        data = Table((rng.random((5, 70)) > 0.5).astype(float))
+        t = setvalued_table(data)
+        for (i, j), s in t.dist.items():
+            assert s == simple_matching_setvalued(data, i, j)
+
+    def test_equal_distances_share_one_set(self):
+        t = setvalued_table(bool5())
+        assert len({id(s) for s in t.dist.values()}) == len(set(t.dist.values()))
+
 
 class TestCsv:
     def test_with_row_labels(self):
@@ -105,6 +116,15 @@ class TestCsv:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             load_csv(io.StringIO(""))
+
+    def test_text_with_newline(self):
+        t = load_csv("a,b\n1,2\n3,4\n")
+        assert np.array_equal(t.values, [[1, 2], [3, 4]])
+
+    def test_missing_file_named(self, tmp_path):
+        path = str(tmp_path / "no_such.csv")
+        with pytest.raises(FileNotFoundError, match="no_such.csv"):
+            load_csv(path)
 
 
 class TestTable:

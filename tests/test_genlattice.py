@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umtree import (
     Table,
@@ -9,7 +13,7 @@ from umtree import (
     setvalued_table,
 )
 from umtree.datasets import bool5
-from umtree.genlattice import triangle_violations
+from umtree.genlattice import _maximal_cliques, triangle_violations
 
 # object ids: a=0, b=1, c=2, e=3, f=4; attribute ids: v1=0, v2=1, v3=2
 
@@ -141,3 +145,100 @@ class TestGeneralizedUltrametric:
         for _ in range(20):
             x = Table((rng.random((6, 5)) > 0.5).astype(float))
             assert triangle_violations(setvalued_table(x)) == []
+
+
+# -- oracles on frozensets, by exhaustive search -----------------------------
+
+
+def _order(s):
+    return (len(s), sorted(s))
+
+
+def oracle_lattice(t):
+    """Union closure by repeated pairwise unions; covers by testing every
+    vertex for lying strictly between."""
+    family = set(t.dist.values())
+    while True:
+        new = {a | b for a in family for b in family} - family
+        if not new:
+            break
+        family |= new
+    vertices = sorted(family, key=_order)
+    edges = [
+        (lo, hi) for lo in vertices for hi in vertices
+        if lo < hi and not any(lo < mid < hi for mid in vertices)
+    ]
+    return tuple(vertices), tuple(edges)
+
+
+def oracle_clusters(t, vertices, k):
+    """Maximal row sets whose pairs all fit in one vertex of level <= k,
+    found among all row subsets."""
+    nodes = [v for v in vertices if len(v) <= k]
+    linked = set()
+    for r in range(1, t.n + 1):
+        for rows in combinations(range(t.n), r):
+            spread = frozenset().union(*(t[a, b] for a, b in combinations(rows, 2)))
+            if r == 1 or any(spread <= v for v in nodes):
+                linked.add(frozenset(rows))
+    # linked is closed under subsets, so a set is maximal iff no one-row
+    # extension is linked
+    maximal = [
+        s for s in linked
+        if not any(s | {x} in linked for x in range(t.n) if x not in s)
+    ]
+    return sorted(maximal, key=_order)
+
+
+boolean_tables = st.integers(1, 9).flatmap(
+    lambda n: st.integers(1, 5).flatmap(
+        lambda m: st.lists(
+            st.lists(st.booleans(), min_size=m, max_size=m), min_size=n, max_size=n
+        )
+    )
+)
+
+
+class TestAgainstOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(boolean_tables)
+    def test_lattice_pairs_clusters(self, rows):
+        t = setvalued_table(Table(np.array(rows, dtype=float)))
+        vertices, edges = oracle_lattice(t)
+        lattice = build_lattice(t)
+        assert lattice.vertices == vertices
+        assert lattice.edges == edges
+        for v in vertices:
+            assert pairs_for_node(t, v) == sorted(p for p, s in t.dist.items() if s == v)
+        for r in range(t.n_attributes + 1):
+            for attrs in combinations(range(t.n_attributes), r):
+                if frozenset(attrs) not in vertices:
+                    with pytest.raises(KeyError):
+                        pairs_for_node(t, attrs)
+        for k in range(t.n_attributes + 1):
+            assert clusters_at_level(t, k) == oracle_clusters(t, vertices, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))).map(
+        lambda edges: (n, edges))))
+def test_maximal_cliques_exhaustive(graph):
+    n, edges = graph
+    adj = [0] * n
+    for a, b in edges:
+        if a != b:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    cliques = [
+        c for c in range(1, 1 << n)
+        if all(c & ~(adj[v] | 1 << v) == 0 for v in range(n) if c >> v & 1)
+    ]
+    maximal = [c for c in cliques if not any(c != d and c & d == c for d in cliques)]
+    found = _maximal_cliques(adj)
+    assert sorted(found) == sorted(maximal)
+
+
+def test_clique_deeper_than_recursion_limit():
+    t = setvalued_table(Table(np.ones((1100, 2))))
+    assert clusters_at_level(t, 0) == [frozenset(range(1100))]

@@ -93,6 +93,13 @@ class TestNNChain:
         with pytest.raises(ValueError, match="naive_cluster"):
             nn_chain_cluster(m, "median")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.ones((3, 3)) - np.eye(3)
+        m[0, 2] = m[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            nn_chain_cluster(m, "single")
+
     @pytest.mark.parametrize("crit", REDUCIBLE, ids=lambda c: c.value)
     def test_matches_naive(self, crit, rng):
         for trial in range(10):
