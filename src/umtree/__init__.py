@@ -10,7 +10,6 @@ semilattice, and the tree's child-swap symmetry group.
 from .dendrogram import (
     Dendrogram,
     DistanceMatrix,
-    cluster_members,
     cophenetic_distance,
     cophenetic_matrix,
     verify_metric,
@@ -32,7 +31,6 @@ from .genlattice import (
 )
 from .haar import (
     HaarTransform,
-    apply_to_signal,
     approximation_chain,
     forward,
     inverse,
@@ -51,10 +49,12 @@ from .padic import (
     check_uniqueness,
     cluster_chain,
     decimal_value,
+    decimal_values,
     dilate,
     encode,
+    encode_all,
 )
-from .symmetry import apply_permutation, automorphism_count, canonicalize
+from .symmetry import apply_permutation, canonicalize
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "MergeCriterion",
     "cophenetic_distance",
     "cophenetic_matrix",
-    "cluster_members",
     "verify_metric",
     "verify_ultrametric",
     "euclidean_matrix",
@@ -84,9 +83,10 @@ __all__ = [
     "reconstruct_one",
     "approximation_chain",
     "threshold_regress",
-    "apply_to_signal",
     "encode",
+    "encode_all",
     "decimal_value",
+    "decimal_values",
     "check_uniqueness",
     "dilate",
     "cluster_chain",
@@ -95,6 +95,5 @@ __all__ = [
     "pairs_for_node",
     "clusters_at_level",
     "apply_permutation",
-    "automorphism_count",
     "canonicalize",
 ]

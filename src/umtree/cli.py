@@ -111,17 +111,17 @@ def cmd_wavelet(args) -> int:
 
 def cmd_padic(args) -> int:
     dend = _load_dend(args.dend).with_rank_levels()
+    values = padic.decimal_values(dend, args.p)
     out = {}
-    for t in range(dend.n_terminals):
-        code = padic.encode(dend, args.p, t)
+    for t, (code, value) in enumerate(zip(padic.encode_all(dend, args.p), values)):
         name = dend.labels[t] if dend.labels else str(t)
         out[name] = {
             "coefficients": [[j, c] for j, c in sorted(code.as_dict().items())],
-            "decimal": padic.decimal_value(code),
+            "decimal": value,
         }
     report = {"p": args.p, "terminals": out}
     if args.check_unique:
-        report["unique"] = padic.check_uniqueness(dend, args.p)
+        report["unique"] = len(set(values)) == len(values)
     _write(args.out, json.dumps(report, indent=2))
     return EXIT_OK
 

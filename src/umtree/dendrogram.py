@@ -9,10 +9,11 @@ branch label +1; the second carries -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import repeat
 import json
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,6 @@ __all__ = [
     "cophenetic_matrix",
     "verify_metric",
     "verify_ultrametric",
-    "cluster_members",
 ]
 
 
@@ -54,6 +54,21 @@ class DistanceMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return float(self.values[i, j])
+
+
+class TreeLayout(NamedTuple):
+    """A dendrogram as flat arrays over node ids.
+
+    order lists the terminals so that every node's members are the slice
+    order[lo[node]:hi[node]], the left child's members first, so a
+    terminal t sits at position lo[t].  parent is -1 at the root.  Parents
+    have larger ids than their children, and a node's rank is node - n + 1.
+    """
+
+    order: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    parent: np.ndarray
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -150,34 +165,50 @@ class Dendrogram:
         raise ValueError(f"{child} is not a child of {node}")
 
     @cached_property
+    def layout(self) -> "TreeLayout":
+        """The tree as flat per-node arrays, built in two O(n) passes."""
+        n = self.n_terminals
+        size = [1] * n
+        parent = [-1] * self.n_nodes
+        for node, (a, b, _) in enumerate(self.merges, start=n):
+            size.append(size[a] + size[b])
+            parent[a] = parent[b] = node
+        lo = [0] * self.n_nodes
+        for node in range(self.root, n - 1, -1):  # parents before children
+            a, b = self.children(node)
+            lo[a] = lo[node]
+            lo[b] = lo[node] + size[a]
+        lo = np.array(lo)
+        order = np.empty(n, dtype=int)
+        order[lo[:n]] = np.arange(n)
+        return TreeLayout(order, lo, lo + np.array(size), np.array(parent))
+
+    @property
     def parent(self) -> np.ndarray:
-        p = np.full(self.n_nodes, -1, dtype=int)
-        for r, (a, b, _) in enumerate(self.merges, start=1):
-            p[a] = p[b] = self.n_terminals - 1 + r
-        return p
+        return self.layout.parent
 
     def path_to_root(self, terminal: int):
         """Internal nodes met walking from a terminal up to the root."""
         if not self.is_terminal(terminal):
             raise IndexError(f"terminal {terminal} out of range")
+        parent = self.layout.parent
         path = []
         node = terminal
-        while self.parent[node] != -1:
-            node = int(self.parent[node])
+        while parent[node] != -1:
+            node = int(parent[node])
             path.append(node)
         return path
 
-    @cached_property
-    def _members(self):
-        mem = [frozenset([i]) for i in range(self.n_terminals)]
-        for a, b, _ in self.merges:
-            mem.append(mem[a] | mem[b])
-        return mem
+    def contains(self, node: int, terminal: int) -> bool:
+        """Whether terminal descends from node (an interval test)."""
+        lay = self.layout
+        return self.is_terminal(terminal) and bool(lay.lo[node] <= lay.lo[terminal] < lay.hi[node])
 
     def members(self, node: int) -> frozenset:
         if not (0 <= node < self.n_nodes):
             raise IndexError(f"node {node} out of range")
-        return self._members[node]
+        lay = self.layout
+        return frozenset(lay.order[lay.lo[node]:lay.hi[node]].tolist())
 
     def check_strict_levels(self) -> bool:
         """True iff levels strictly increase along containment."""
@@ -244,60 +275,70 @@ def cophenetic_distance(dend: Dendrogram, i: int, j: int) -> float:
     for t in (i, j):
         if not dend.is_terminal(t):
             raise IndexError(f"terminal {t} out of range")
-    if i == j:
-        return 0.0
-    anc_i = set(dend.path_to_root(i))
-    node = j
-    while True:
+    node = i
+    while not dend.contains(node, j):
         node = int(dend.parent[node])
-        if node in anc_i:
-            return dend.level(node)
+    return dend.level(node)
 
 
 def cophenetic_matrix(dend: Dendrogram) -> DistanceMatrix:
-    """All pairwise cophenetic distances, in one bottom-up pass."""
+    """All pairwise cophenetic distances: each merge fills one block of
+    the matrix in leaf order, which is then permuted to terminal order."""
     n = dend.n_terminals
+    lay = dend.layout
+    lo, hi = lay.lo.tolist(), lay.hi.tolist()
     d = np.zeros((n, n))
     for a, b, lev in dend.merges:
-        left = list(dend.members(a))
-        right = list(dend.members(b))
-        d[np.ix_(left, right)] = lev
-        d[np.ix_(right, left)] = lev
+        # b's slice starts where a's ends
+        d[lo[a]:hi[a], lo[b]:hi[b]] = lev
+        d[lo[b]:hi[b], lo[a]:hi[a]] = lev
+    pos = lay.lo[:n]
+    d = d[pos[:, None], pos]  # rebinding frees the leaf-order copy before validation
     return DistanceMatrix(d)
-
-
-def cluster_members(dend: Dendrogram, node: int) -> frozenset:
-    """Terminals descending from a node (the cluster at that node)."""
-    return dend.members(node)
 
 
 # -- metric / ultrametric verification -------------------------------------
 
 
 def _violations(m, tol: float, ultra: bool):
+    """Triples i < j < k, in lexicographic order, whose slack exceeds tol.
+
+    One numpy pass per pivot i over all pairs j < k above it.  The sides'
+    min, median and max are picked with np.minimum/np.maximum, so the
+    slack is the same float as from sorting the three sides.
+    """
     d = _as_matrix(m)
     n = d.shape[0]
     out = []
-    for i, j, k in combinations(range(n), 3):
-        sides = sorted((d[i, j], d[i, k], d[j, k]))
+    for i in range(n - 2):
+        x = d[i, i + 1:]  # d(i, j) down the rows, d(i, k) along the columns
+        z = d[i + 1:, i + 1:]  # d(j, k)
+        low = np.minimum.outer(x, x)
+        high = np.maximum.outer(x, x)
+        top = np.maximum(high, z)
+        mid = np.maximum(low, np.minimum(high, z))
         if ultra:
-            slack = sides[2] - sides[1]
+            slack = top - mid
         else:
-            slack = sides[2] - (sides[0] + sides[1])
-        if slack > tol:
-            out.append((i, j, k, float(slack)))
+            slack = top - (np.minimum(low, z) + mid)
+        j, k = np.nonzero(np.triu(slack > tol, 1))  # row-major: lexicographic
+        out.extend(zip(repeat(i), (j + i + 1).tolist(), (k + i + 1).tolist(), slack[j, k].tolist()))
     return out
 
 
 def verify_ultrametric(m, tol: float = 0.0):
     """Triples violating the strong triangle inequality, with slack.
 
-    Empty iff d(x,z) <= max(d(x,y), d(y,z)) + tol for all triples,
+    Returns (i, j, k, slack) for i < j < k in lexicographic order.  Empty
+    iff d(x,z) <= max(d(x,y), d(y,z)) + tol for all triples,
     equivalently: the two largest sides of every triangle agree to tol.
     """
     return _violations(m, tol, ultra=True)
 
 
 def verify_metric(m, tol: float = 0.0):
-    """Triples violating the plain triangle inequality, with slack."""
+    """Triples violating the plain triangle inequality, with slack.
+
+    Returns (i, j, k, slack) for i < j < k in lexicographic order.
+    """
     return _violations(m, tol, ultra=False)

@@ -73,11 +73,18 @@ def load_csv(text_or_path, columns=None) -> Table:
     else:
         with open(text_or_path, "r", newline="") as fh:
             text = fh.read()
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, r) for r in reader if r]
     if len(rows) < 2:
         raise ValueError("CSV needs a header row and at least one data row")
-    header = rows[0]
-    body = rows[1:]
+    header = rows[0][1]
+    for line, r in rows[1:]:
+        if len(r) != len(header):
+            raise ValueError(
+                f"CSV line {line} (row {r[0].strip()!r}) has {len(r)} fields, "
+                f"expected {len(header)} as in the header row"
+            )
+    body = [r for _, r in rows[1:]]
 
     def numeric(s):
         try:

@@ -9,7 +9,8 @@ detail is half their difference, signed so that
 
 (mean-based, unnormalized convention; the two signed copies of a detail
 sum to zero).  The inverse reads the tree from the root: a row is the
-global smooth plus the signed details met on its root path.
+global smooth plus the signed details met on its root path, so one
+top-down pass gives every row.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "reconstruct_one",
     "approximation_chain",
     "threshold_regress",
-    "apply_to_signal",
 ]
 
 
@@ -61,9 +61,9 @@ class HaarTransform:
     def sign(self, node: int, terminal: int) -> int:
         """Which signed copy of node's detail terminal receives."""
         a, b = self.dend.children(node)
-        if terminal in self.dend.members(a):
+        if self.dend.contains(a, terminal):
             return +1
-        if terminal in self.dend.members(b):
+        if self.dend.contains(b, terminal):
             return -1
         raise ValueError(f"terminal {terminal} not under node {node}")
 
@@ -95,11 +95,6 @@ def forward(dend: Dendrogram, data) -> HaarTransform:
     return HaarTransform(dend, smooths[dend.root], details)
 
 
-def apply_to_signal(dend: Dendrogram, signal) -> HaarTransform:
-    """Fold the tree onto an external signal: same codification, new data."""
-    return forward(dend, signal)
-
-
 def reconstruct_one(ht: HaarTransform, terminal: int) -> np.ndarray:
     """Single row: smooth plus the signed details on the root path."""
     # summed root-first, matching approximation_chain bitwise
@@ -110,10 +105,21 @@ def reconstruct_one(ht: HaarTransform, terminal: int) -> np.ndarray:
 
 
 def inverse(ht: HaarTransform) -> np.ndarray:
-    """Exact inverse transform: all rows."""
-    return np.vstack(
-        [reconstruct_one(ht, t) for t in range(ht.dend.n_terminals)]
-    )
+    """Exact inverse transform: all rows, in one top-down pass.
+
+    A node's left child gets the node's row plus its detail and the right
+    child the row minus it: the root-first sums of reconstruct_one, so
+    the rows are bitwise equal to it.
+    """
+    dend = ht.dend
+    rows = np.empty((dend.n_nodes, ht.m))
+    rows[dend.root] = ht.smooth
+    for node in range(dend.root, dend.n_terminals - 1, -1):
+        a, b = dend.children(node)
+        d = ht.details[dend.rank(node)]
+        rows[a] = rows[node] + d
+        rows[b] = rows[node] - d
+    return rows[:dend.n_terminals]
 
 
 def approximation_chain(ht: HaarTransform, terminal: int):
@@ -123,14 +129,11 @@ def approximation_chain(ht: HaarTransform, terminal: int):
     previous one and the last equals the row (error 0).  Returns a list
     of (partial sum, Euclidean error) pairs.
     """
-    target = reconstruct_one(ht, terminal)
-    path = ht.dend.path_to_root(terminal)  # bottom-up; reverse for root-first
-    partial = ht.smooth.copy()
-    chain = [(partial.copy(), float(np.linalg.norm(partial - target)))]
-    for node in reversed(path):
-        partial = partial + ht.sign(node, terminal) * ht.details[ht.dend.rank(node)]
-        chain.append((partial.copy(), float(np.linalg.norm(partial - target))))
-    return chain
+    partials = [ht.smooth.copy()]
+    for node in reversed(ht.dend.path_to_root(terminal)):
+        partials.append(partials[-1] + ht.sign(node, terminal) * ht.details[ht.dend.rank(node)])
+    target = partials[-1]
+    return [(partial, float(np.linalg.norm(partial - target))) for partial in partials]
 
 
 def threshold_regress(ht: HaarTransform, tau: float, per_coordinate: bool = False) -> HaarTransform:

@@ -5,11 +5,17 @@ branch label (+1/-1) of the edge the path takes out of that node, indexed
 by the node's agglomeration rank.  Multiplying by 1/p (the dilation
 operator) shifts every rank down by one and drops the bottom rank:
 the whole configuration rises one level in the hierarchy.
+
+Codes do not depend on p, only their decimal values do.  Both are read
+off the tree top-down in one pass: a child's code is its parent's plus
+the parent's rank with the child's branch label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from types import MappingProxyType
 
 from .dendrogram import Dendrogram
@@ -17,7 +23,9 @@ from .dendrogram import Dendrogram
 __all__ = [
     "PadicCode",
     "encode",
+    "encode_all",
     "decimal_value",
+    "decimal_values",
     "check_uniqueness",
     "dilate",
     "cluster_chain",
@@ -72,16 +80,43 @@ def encode(dend: Dendrogram, p: int, terminal: int) -> PadicCode:
     return PadicCode(p, MappingProxyType(coeffs))
 
 
+def encode_all(dend: Dendrogram, p: int) -> list:
+    """Codes of all terminals, by terminal id, from one top-down pass."""
+    coeffs = [()] * dend.n_nodes  # (rank, label) pairs, ascending rank
+    for node in range(dend.root, dend.n_terminals - 1, -1):
+        a, b = dend.children(node)
+        r = dend.rank(node)
+        coeffs[a] = ((r, +1),) + coeffs[node]
+        coeffs[b] = ((r, -1),) + coeffs[node]
+    return [PadicCode(p, MappingProxyType(dict(c))) for c in coeffs[:dend.n_terminals]]
+
+
 def decimal_value(code: PadicCode) -> int:
     """Exact integer value sum(c_j * p^j)."""
     return sum(c * code.p**j for j, c in code.coeffs.items())
 
 
+def decimal_values(dend: Dendrogram, p: int) -> list:
+    """Exact decimal values of all terminals, by terminal id.
+
+    One top-down pass: val[child] = val[node] +- p**rank(node), so n - 1
+    big-integer additions in all.
+    """
+    if not _is_prime(p):
+        raise ValueError(f"base {p} is not prime")
+    power = [1, *accumulate([p] * (dend.n_terminals - 1), mul)]
+    vals = [0] * dend.n_nodes
+    for node in range(dend.root, dend.n_terminals - 1, -1):
+        a, b = dend.children(node)
+        step = power[dend.rank(node)]
+        vals[a] = vals[node] + step
+        vals[b] = vals[node] - step
+    return vals[:dend.n_terminals]
+
+
 def check_uniqueness(dend: Dendrogram, p: int) -> bool:
     """True iff all terminals' decimal values are distinct."""
-    vals = [
-        decimal_value(encode(dend, p, t)) for t in range(dend.n_terminals)
-    ]
+    vals = decimal_values(dend, p)
     return len(set(vals)) == len(vals)
 
 
@@ -121,15 +156,16 @@ def dilation_cluster_map(dend: Dendrogram):
 
     Returns, per rank level l, the partition of terminals induced by the
     codes truncated below l; consecutive levels show each cluster either
-    unchanged or merged with exactly one other.
+    unchanged or merged with exactly one other.  Two codes agree above
+    rank l iff their terminals sit under one node of rank <= l, so level l
+    is the partition left by the first l merges (clusters in order of
+    their smallest terminal).
     """
     n = dend.n_terminals
-    codes = [encode(dend, 3, t) for t in range(n)]
-    out = []
-    for cut in range(dend.n_terminals):
-        groups = {}
-        for t, code in enumerate(codes):
-            key = tuple(sorted((j, c) for j, c in code.coeffs.items() if j > cut))
-            groups.setdefault(key, set()).add(t)
-        out.append(sorted(map(frozenset, groups.values()), key=sorted))
+    clusters = {t: frozenset([t]) for t in range(n)}  # node -> members
+    out = [sorted(clusters.values(), key=min)]
+    for node in range(n, dend.n_nodes):
+        a, b = dend.children(node)
+        clusters[node] = clusters.pop(a) | clusters.pop(b)
+        out.append(sorted(clusters.values(), key=min))
     return out

@@ -14,7 +14,6 @@ from .dendrogram import Dendrogram
 
 __all__ = [
     "apply_permutation",
-    "automorphism_count",
     "canonicalize",
 ]
 
@@ -40,17 +39,13 @@ def apply_permutation(dend: Dendrogram, perm) -> Dendrogram:
     )
 
 
-def automorphism_count(dend: Dendrogram) -> int:
-    """Order of the group generated by per-node child swaps: 2^(n-1)."""
-    return 2 ** (dend.n_terminals - 1)
-
-
 def canonicalize(dend: Dendrogram):
     """Orbit representative: at every node the child holding the smallest
     terminal index goes left.  Returns (canonical tree, swaps applied);
     idempotent and constant on each orbit."""
+    low = list(range(dend.n_terminals))  # smallest terminal under each node
     perm = {}
-    for r, (a, b, _) in enumerate(dend.merges, start=1):
-        node = dend.n_terminals - 1 + r
-        perm[node] = min(dend.members(a)) > min(dend.members(b))
+    for node, (a, b, _) in enumerate(dend.merges, start=dend.n_terminals):
+        perm[node] = low[a] > low[b]
+        low.append(min(low[a], low[b]))
     return apply_permutation(dend, perm), perm

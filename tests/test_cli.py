@@ -82,6 +82,18 @@ class TestCluster:
         assert main(["cluster", "--input", path, "--out", "x"]) == 2
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body, line", [
+        ("r1,1,2\nr2,3\n", "line 3 (row 'r2') has 2 fields"),
+        ("r1,1,2,4\nr2,3,5\n", "line 2 (row 'r1') has 4 fields"),
+    ])
+    def test_ragged_row_named(self, tmp_path, capsys, body, line):
+        bad = tmp_path / "ragged.csv"
+        bad.write_text(",a,b\n" + body)
+        assert main(["cluster", "--input", str(bad), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert line in err
+        assert "expected 3" in err
+
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["cluster"])  # --input missing
@@ -212,6 +224,33 @@ class TestGenum:
         ]) == 0
         assert out.read_bytes() == (DATA / "genum_40x5_level2.json").read_bytes()
         assert txt.read_bytes() == (DATA / "genum_40x5_level2.txt").read_bytes()
+
+
+class TestTreeGoldens:
+    # the expected bytes were written by the per-terminal implementation of
+    # the tree layers (root-path walks, frozenset members); a single-linkage
+    # tree of 60 rows with a long chain (depth 38)
+    TREE = DATA / "single_60x3.tree.json"
+    CSV = DATA / "single_60x3.csv"
+
+    def test_cluster_reproduces_tree(self, tmp_path):
+        out = tmp_path / "tree.json"
+        assert main([
+            "cluster", "--input", str(self.CSV), "--criterion", "single", "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == self.TREE.read_bytes()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["padic", "--p", "2"], "padic2.json"),
+        (["padic", "--p", "3", "--check-unique"], "padic3.json"),
+        (["wavelet", "inverse", "--data", str(CSV)], "inverse.csv"),
+        (["wavelet", "regress", "--data", str(CSV), "--tau", "4.0"], "regress.csv"),
+        (["canon"], "canon.json"),
+    ])
+    def test_golden(self, tmp_path, argv, expected):
+        out = tmp_path / expected
+        assert main(argv + ["--dend", str(self.TREE), "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"single_60x3.{expected}").read_bytes()
 
 
 def test_cli_import_leaves_out_networkx():

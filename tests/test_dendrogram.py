@@ -6,7 +6,6 @@ import pytest
 from umtree import (
     Dendrogram,
     DistanceMatrix,
-    cluster_members,
     cophenetic_distance,
     cophenetic_matrix,
     verify_metric,
@@ -113,12 +112,12 @@ class TestCophenetic:
 class TestClusterMembers:
     def test_demo_tree_cluster(self):
         d = ranked_demo_tree()
-        assert cluster_members(d, 11) == {3, 4, 5}
+        assert d.members(11) == {3, 4, 5}
 
     def test_root_and_terminal(self):
         d = small_tree()
-        assert cluster_members(d, d.root) == {0, 1, 2}
-        assert cluster_members(d, 1) == {1}
+        assert d.members(d.root) == {0, 1, 2}
+        assert d.members(1) == {1}
 
 
 class TestVerify:

@@ -121,6 +121,18 @@ class TestCsv:
         t = load_csv("a,b\n1,2\n3,4\n")
         assert np.array_equal(t.values, [[1, 2], [3, 4]])
 
+    def test_short_row_named(self):
+        with pytest.raises(ValueError, match=r"line 3 \(row 'r2'\) has 2 fields, expected 3"):
+            load_csv(",a,b\nr1,1,2\nr2,3\n")
+
+    def test_long_row_named(self):
+        with pytest.raises(ValueError, match=r"line 2 \(row 'r1'\) has 4 fields, expected 3"):
+            load_csv(",a,b\nr1,1,2,9\nr2,3,4\n")
+
+    def test_ragged_row_line_counts_blank_lines(self):
+        with pytest.raises(ValueError, match=r"line 4 \(row '5'\) has 1 fields, expected 2"):
+            load_csv("a,b\n1,2\n\n5\n")
+
     def test_missing_file_named(self, tmp_path):
         path = str(tmp_path / "no_such.csv")
         with pytest.raises(FileNotFoundError, match="no_such.csv"):

@@ -3,7 +3,6 @@ import pytest
 
 from umtree import (
     Dendrogram,
-    apply_to_signal,
     approximation_chain,
     euclidean_matrix,
     forward,
@@ -196,12 +195,12 @@ class TestThresholdRegress:
 class TestApplyToSignal:
     def test_identity_on_own_data(self):
         data, dend, ht = iris_transform()
-        folded = apply_to_signal(dend, data)
+        folded = forward(dend, data)
         np.testing.assert_array_equal(folded.smooth, ht.smooth)
 
     def test_zero_signal(self, rng):
         d = random_dendrogram(rng, 7)
-        ht = apply_to_signal(d, np.zeros((7, 3)))
+        ht = forward(d, np.zeros((7, 3)))
         np.testing.assert_array_equal(ht.smooth, 0.0)
         for v in ht.details.values():
             np.testing.assert_array_equal(v, 0.0)
@@ -212,10 +211,10 @@ class TestApplyToSignal:
         )
         signal = random_points(rng, 11, 5)
         np.testing.assert_allclose(
-            inverse(apply_to_signal(dend, signal)), signal, atol=1e-12
+            inverse(forward(dend, signal)), signal, atol=1e-12
         )
 
     def test_row_count_mismatch(self, rng):
         d = random_dendrogram(rng, 6)
         with pytest.raises(ValueError):
-            apply_to_signal(d, np.zeros((5, 2)))
+            forward(d, np.zeros((5, 2)))

@@ -1,10 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from umtree import (
     Dendrogram,
     apply_permutation,
-    automorphism_count,
     canonicalize,
     cophenetic_matrix,
     encode,
@@ -93,6 +94,15 @@ class TestInvariance:
                 node = d.n_terminals - 1 + rank
                 expected = -coeff if perm[node] else coeff
                 assert after[rank] == expected
+
+
+def automorphism_count(dend):
+    """Number of distinct trees the child swaps reach from dend."""
+    nodes = range(dend.n_terminals, dend.n_nodes)
+    return len({
+        apply_permutation(dend, dict(zip(nodes, swaps)))
+        for swaps in product((False, True), repeat=len(nodes))
+    })
 
 
 class TestAutomorphismCount:
