@@ -1,22 +1,30 @@
 """Hierarchical agglomerative clustering.
 
-Two drivers produce identical dendrograms for reducible criteria:
+Two drivers produce identical dendrograms for reducible criteria when
+no two candidate merges tie:
 
 * naive_cluster -- O(n^3): repeatedly merge the globally closest pair.
 * nn_chain_cluster -- O(n^2): follow nearest-neighbor chains and merge
   reciprocal nearest neighbors; valid only for reducible criteria
   (single, complete, average, ward).
 
-Cluster-update arithmetic is the Lance-Williams recurrence.  Ward and
-median operate on squared input distances and report merge levels as
-the square root of the merge cost, so levels stay commensurate with the
-input distances.  Median is not reducible and is rejected by the chain
+Both run one loop on an n x n matrix: a merge writes the new cluster
+into the slot of one child and retires the other's.  Cluster-update
+arithmetic is the Lance-Williams recurrence.  Ward and median operate
+on squared input distances and report merge levels as the square root
+of the merge cost, so levels stay commensurate with the input
+distances.  Median is not reducible and is rejected by the chain
 driver; it can also invert levels, which is repaired by propagating the
 running maximum (raw levels are kept on the dendrogram).
 
-Determinism: among equally close pairs the lexicographically smallest
-(min id, max id) merges first, and each merge lists the smaller cluster
-id as the left child.
+Determinism: ties break on cluster ids (terminals 0..n-1, then n, n+1,
+... in the order the driver creates clusters), never on matrix slots.
+naive_cluster merges the lexicographically smallest (min id, max id)
+among equally close pairs.  nn_chain_cluster starts each chain at the
+smallest live id and, among equally near neighbours, steps to the
+smallest id; on tied data it can build a different tree from
+naive_cluster.  Each merge lists the smaller cluster id as the left
+child.
 """
 
 from __future__ import annotations
@@ -65,23 +73,12 @@ def lance_williams_update(d_ki, d_kj, d_ij, sizes, crit) -> float:
     sizes = (n_i, n_j, n_k).  For ward and median the three inputs are
     squared distances and the result is a squared distance.
     """
-    crit = _coerce(crit)
     n_i, n_j, n_k = sizes if sizes is not None else (1, 1, 1)
-    if crit is MergeCriterion.SINGLE:
-        return min(d_ki, d_kj)
-    if crit is MergeCriterion.COMPLETE:
-        return max(d_ki, d_kj)
-    if crit is MergeCriterion.AVERAGE:
-        return (n_i * d_ki + n_j * d_kj) / (n_i + n_j)
-    if crit is MergeCriterion.WARD:
-        tot = n_i + n_j + n_k
-        return ((n_i + n_k) * d_ki + (n_j + n_k) * d_kj - n_k * d_ij) / tot
-    # median (Gower): midpoint of the two centroids
-    out = 0.5 * d_ki + 0.5 * d_kj - 0.25 * d_ij
-    if out < 0:
-        warnings.warn("median update went negative (non-Euclidean input); clamped")
-        out = 0.0
-    return float(out)
+    row = _lw_row(
+        np.array([d_ki], float), np.array([d_kj], float), d_ij, n_k, n_i, n_j,
+        _coerce(crit),
+    )
+    return float(row[0])
 
 
 def _lw_row(d_i, d_j, d_ij, sizes_all, n_i, n_j, crit):
@@ -95,6 +92,7 @@ def _lw_row(d_i, d_j, d_ij, sizes_all, n_i, n_j, crit):
     if crit is MergeCriterion.WARD:
         tot = n_i + n_j + sizes_all
         return ((n_i + sizes_all) * d_i + (n_j + sizes_all) * d_j - sizes_all * d_ij) / tot
+    # median (Gower): midpoint of the two centroids
     row = 0.5 * d_i + 0.5 * d_j - 0.25 * d_ij
     if (row < 0).any():
         warnings.warn("median update went negative (non-Euclidean input); clamped")
@@ -102,15 +100,43 @@ def _lw_row(d_i, d_j, d_ij, sizes_all, n_i, n_j, crit):
     return row
 
 
-def _prepare(m, crit):
-    d = m.values if isinstance(m, DistanceMatrix) else DistanceMatrix(np.asarray(m, float)).values
-    n = d.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 observations")
-    d = d.copy()
-    if crit.squared:
-        d = d**2
-    return d, n
+class _Clusters:
+    """The live clusters of one run, held in n slots of an n x n matrix.
+
+    Slot s holds cluster ids[s]: terminal t starts in slot t, and the
+    k-th merge (k = 0, 1, ...) creates cluster n + k in the slot of its
+    first child.  The diagonal stays inf.  Rows and columns of retired
+    slots keep stale values, so every scan masks them with live.
+    """
+
+    def __init__(self, m, crit):
+        d = m.values if isinstance(m, DistanceMatrix) else DistanceMatrix(np.asarray(m, float)).values
+        self.n = n = d.shape[0]
+        if n < 2:
+            raise ValueError("need at least 2 observations")
+        self.d = d**2 if crit.squared else d.copy()
+        np.fill_diagonal(self.d, np.inf)
+        self.crit = crit
+        self.ids = np.arange(n)
+        self.sizes = np.ones(n, dtype=int)
+        self.live = np.ones(n, dtype=bool)
+        self.raw = []
+
+    def merge(self, a, b):
+        """Merge the clusters in slots a and b into slot a; retire slot b."""
+        d, live, sizes = self.d, self.live, self.sizes
+        cost = float(d[a, b])
+        live[a] = live[b] = False
+        others = np.flatnonzero(live)
+        live[a] = True
+        row = _lw_row(
+            d[a, others], d[b, others], cost, sizes[others], sizes[a], sizes[b], self.crit,
+        )
+        d[a, others] = row
+        d[others, a] = row
+        sizes[a] += sizes[b]
+        self.raw.append((int(self.ids[a]), int(self.ids[b]), cost))
+        self.ids[a] = self.n + len(self.raw) - 1
 
 
 def _finish(n, raw_merges, crit, labels=None, reorder=False):
@@ -151,38 +177,15 @@ def _finish(n, raw_merges, crit, labels=None, reorder=False):
 def naive_cluster(m, crit, labels=None) -> Dendrogram:
     """O(n^3) oracle: merge the globally closest pair, n-1 times."""
     crit = _coerce(crit)
-    d, n = _prepare(m, crit)
-    big = np.full((2 * n - 1, 2 * n - 1), np.inf)
-    big[:n, :n] = d
-    np.fill_diagonal(big, np.inf)
-    active = np.zeros(2 * n - 1, dtype=bool)
-    active[:n] = True
-    sizes = np.ones(2 * n - 1, dtype=int)
-    raw = []
-    for step in range(n - 1):
-        ids = np.flatnonzero(active)
-        sub = big[np.ix_(ids, ids)]
-        iu = np.triu_indices(len(ids), k=1)
-        vals = sub[iu]
-        best = vals.min()
-        # lexicographically smallest (min id, max id) among ties
-        hits = np.flatnonzero(vals == best)
-        i_loc, j_loc = iu[0][hits[0]], iu[1][hits[0]]
-        a, b = int(ids[i_loc]), int(ids[j_loc])
-        new = n + step
-        others = ids[(ids != a) & (ids != b)]
-        if len(others):
-            row = _lw_row(
-                big[a, others], big[b, others], best, sizes[others],
-                sizes[a], sizes[b], crit,
-            )
-            big[new, others] = row
-            big[others, new] = row
-        active[a] = active[b] = False
-        active[new] = True
-        sizes[new] = sizes[a] + sizes[b]
-        raw.append((a, b, float(best)))
-    return _finish(n, raw, crit, labels, reorder=False)
+    c = _Clusters(m, crit)
+    for _ in range(c.n - 1):
+        s = np.flatnonzero(c.live)
+        s = s[np.argsort(c.ids[s])]
+        # with rows and columns in id order, the first minimum of the
+        # symmetric block is the lexicographically smallest closest pair
+        i, j = divmod(int(c.d[np.ix_(s, s)].argmin()), len(s))
+        c.merge(s[i], s[j])
+    return _finish(c.n, c.raw, crit, labels, reorder=False)
 
 
 def nn_chain_cluster(m, crit, labels=None) -> Dendrogram:
@@ -192,42 +195,20 @@ def nn_chain_cluster(m, crit, labels=None) -> Dendrogram:
         raise ValueError(
             f"criterion {crit.value!r} is not reducible; use naive_cluster"
         )
-    d, n = _prepare(m, crit)
-    big = np.full((2 * n - 1, 2 * n - 1), np.inf)
-    big[:n, :n] = d
-    np.fill_diagonal(big, np.inf)
-    active = np.zeros(2 * n - 1, dtype=bool)
-    active[:n] = True
-    sizes = np.ones(2 * n - 1, dtype=int)
-    raw = []
+    c = _Clusters(m, crit)
+    d, ids, live = c.d, c.ids, c.live
     chain = []
-    next_id = n
-    while len(raw) < n - 1:
+    while len(c.raw) < c.n - 1:
         if not chain:
-            chain.append(int(np.flatnonzero(active)[0]))
+            chain.append(int(np.where(live, ids, 2 * c.n).argmin()))  # smallest live id
         x = chain[-1]
-        row = np.where(active, big[x], np.inf)
-        row[x] = np.inf
-        y = int(np.argmin(row))  # first occurrence = smallest id on ties
+        row = np.where(live, d[x], np.inf)
+        hits = np.flatnonzero(row == row.min())
+        y = int(hits[ids[hits].argmin()])  # the smallest id on ties
         if len(chain) >= 2 and y == chain[-2]:
             chain.pop()
             chain.pop()
-            a, b = min(x, y), max(x, y)
-            cost = float(big[a, b])
-            others = np.flatnonzero(active)
-            others = others[(others != a) & (others != b)]
-            if len(others):
-                upd = _lw_row(
-                    big[a, others], big[b, others], cost, sizes[others],
-                    sizes[a], sizes[b], crit,
-                )
-                big[next_id, others] = upd
-                big[others, next_id] = upd
-            active[a] = active[b] = False
-            active[next_id] = True
-            sizes[next_id] = sizes[a] + sizes[b]
-            raw.append((a, b, cost))
-            next_id += 1
+            c.merge(x, y)
         else:
             chain.append(y)
-    return _finish(n, raw, crit, labels, reorder=True)
+    return _finish(c.n, c.raw, crit, labels, reorder=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,43 @@ class TestConventions:
         assert levels == sorted(levels)
         if d.raw_levels is not None:
             assert any(r != lev for r, lev in zip(d.raw_levels, levels))
+
+
+class TestTieRules:
+    # complete linkage ties at 2.0 between {3} and both {2, 4} (node 5
+    # of the dendrogram) and {0, 1} (node 6)
+    TIED = np.array([[2, 0], [2, 1], [0, 2], [2, 2], [0, 2]], dtype=float)
+
+    def test_naive_merges_smallest_pair(self):
+        d = naive_cluster(euclidean_matrix(self.TIED), "complete")
+        assert d.merges[2] == (3, 5, 2.0)
+
+    def test_chain_steps_to_smallest_id(self):
+        # the chain merges {0, 1} before {2, 4}, so while it runs {0, 1}
+        # has the smaller id and the chain from 3 steps to it; the
+        # dendrogram numbers nodes in level order
+        d = nn_chain_cluster(euclidean_matrix(self.TIED), "complete")
+        assert d.merges[2] == (3, 6, 2.0)
+
+
+class TestMemory:
+    """The working matrix is n x n: peak allocations during a run stay
+    within a small multiple of one n x n float matrix."""
+
+    @staticmethod
+    def peak_in_matrices(cluster, crit, n):
+        m = euclidean_matrix(np.random.default_rng(0).normal(size=(n, 4)))
+        tracemalloc.start()
+        try:
+            cluster(m, crit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (n * n * 8)
+
+    @pytest.mark.parametrize("crit", ["ward", "single"])
+    def test_nn_chain(self, crit):
+        assert self.peak_in_matrices(nn_chain_cluster, crit, 800) < 2
+
+    def test_naive(self):
+        assert self.peak_in_matrices(naive_cluster, "median", 300) < 5
