@@ -128,8 +128,6 @@ def cmd_padic(args) -> int:
 
 def cmd_genum(args) -> int:
     table = load_csv(args.input)
-    if not table.is_boolean():
-        raise ValueError("genum needs a boolean (0/1) table")
     t = setvalued_table(table)
     lattice = genlattice.build_lattice(t)
     attr = table.col_labels or tuple(f"v{j + 1}" for j in range(t.n_attributes))

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -155,38 +156,38 @@ def row_masks(x: np.ndarray) -> np.ndarray:
 class SetValuedDistanceTable:
     """Map from unordered object pairs to subsets of the attribute set J.
 
-    From dist the table derives the same distances on int bitmasks:
-    masks lists each distinct distance set once, and codes[k] is the
-    index in masks of the k-th pair in lexicographic order.
+    The distances are stored once, as int bitmasks: masks lists each
+    distinct distance set once, and codes[k] is the index in masks of
+    the k-th pair in lexicographic order.
     """
 
     n: int
     n_attributes: int
-    dist: dict
+    masks: tuple
+    codes: np.ndarray
     object_labels: tuple = None
     attribute_labels: tuple = None
-    masks: tuple = field(init=False, repr=False, compare=False)
-    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        i, j = np.triu_indices(self.n, 1)
-        sets, codes = _factorize(map(self.dist.__getitem__, zip(i.tolist(), j.tolist())))
-        object.__setattr__(self, "masks", tuple(map(to_mask, sets)))
-        object.__setattr__(self, "codes", codes)
+    @cached_property
+    def dist(self) -> dict:
+        """{(i, j): frozenset} for i < j; pairs with one distance share one set."""
+        sets = [frozenset(from_mask(mask)) for mask in self.masks]
+        return dict(zip(self.pairs(), [sets[c] for c in self.codes.tolist()]))
 
     def __getitem__(self, ij) -> frozenset:
         i, j = ij
         return self.dist[(min(i, j), max(i, j))]
 
+    def __eq__(self, other):
+        # field by field, as the generated __eq__ cannot compare arrays
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
     def pairs(self):
-        return sorted(self.dist)
-
-
-def _factorize(values) -> tuple:
-    """(distinct values in first-seen order, index of each value among them)."""
-    index = {}
-    codes = [index.setdefault(v, len(index)) for v in values]
-    return tuple(index), np.array(codes, dtype=np.intp)
+        i, j = np.triu_indices(self.n, 1)
+        return list(zip(i.tolist(), j.tolist()))
 
 
 def _bool_values(data) -> np.ndarray:
@@ -207,16 +208,14 @@ def setvalued_table(data) -> SetValuedDistanceTable:
     """All pairwise set-valued distances (distinct pairs only).
 
     Every pair's distance mask is full & ~(w_i & w_j), with w the rows'
-    attribute masks; all pairs with one distance share one frozenset.
+    attribute masks.
     """
     x = _bool_values(data)
     n, m = x.shape
     full = (1 << m) - 1
     w = row_masks(x == 1)
     i, j = np.triu_indices(n, 1)
-    masks, codes = _factorize((full & ~(w[i] & w[j])).tolist())
-    sets = [frozenset(from_mask(mask)) for mask in masks]
-    dist = dict(zip(zip(i.tolist(), j.tolist()), [sets[c] for c in codes.tolist()]))
-    row_labels = data.row_labels if isinstance(data, Table) else None
-    col_labels = data.col_labels if isinstance(data, Table) else None
-    return SetValuedDistanceTable(n, m, dist, row_labels, col_labels)
+    index = {}  # distinct masks in first-seen order
+    codes = [index.setdefault(d, len(index)) for d in (full & ~(w[i] & w[j])).tolist()]
+    labels = (data.row_labels, data.col_labels) if isinstance(data, Table) else (None, None)
+    return SetValuedDistanceTable(n, m, tuple(index), np.array(codes, np.intp), *labels)

@@ -132,8 +132,7 @@ def clusters_at_level(t: SetValuedDistanceTable, k: int) -> list:
     node of level <= k; dominated sets (including singletons) removed."""
     if not 0 <= k <= t.n_attributes:
         raise ValueError(f"level {k} out of range 0..{t.n_attributes}")
-    lattice = build_lattice(t)
-    eligible = [to_mask(v) for v in lattice.vertices if len(v) <= k]
+    eligible = [v for v in _union_closure(t.masks) if v.bit_count() <= k]
     maximal = [v for v in eligible if not any(v != w and v & w == v for w in eligible)]
     i, j = np.triu_indices(t.n, 1)
     cliques = set()
@@ -153,9 +152,12 @@ def clusters_at_level(t: SetValuedDistanceTable, k: int) -> list:
 def triangle_violations(t: SetValuedDistanceTable) -> list:
     """Triples breaking the set-valued strong triangle inequality
     d(x,z) <= d(x,y) | d(y,z); empty for simple-matching tables."""
+    d = [[0] * t.n for _ in range(t.n)]
+    for (a, b), c in zip(t.pairs(), t.codes.tolist()):
+        d[a][b] = d[b][a] = t.masks[c]
     out = []
     for x, y, z in combinations(range(t.n), 3):
         for a, b, c in ((x, z, y), (x, y, z), (y, z, x)):
-            if not t[a, b] <= (t[a, c] | t[c, b]):
+            if d[a][b] & ~(d[a][c] | d[c][b]):
                 out.append((a, c, b))
     return out

@@ -114,7 +114,10 @@ class _Clusters:
         self.n = n = d.shape[0]
         if n < 2:
             raise ValueError("need at least 2 observations")
-        self.d = d**2 if crit.squared else d.copy()
+        # DistanceMatrix accepts symmetry within tolerance; the scans need it exact
+        self.d = np.minimum(d, d.T)
+        if crit.squared:
+            self.d **= 2
         np.fill_diagonal(self.d, np.inf)
         self.crit = crit
         self.ids = np.arange(n)

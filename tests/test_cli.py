@@ -211,8 +211,9 @@ class TestGenum:
         assert "v1,v2,v3" in text
         assert "d(a,c)" in text
 
-    def test_non_boolean_rejected(self, tmp_path, iris_csv):
+    def test_non_boolean_rejected(self, tmp_path, iris_csv, capsys):
         assert main(["genum", "--input", str(iris_csv), "--out", "x"]) == 2
+        assert "only 0 and 1" in capsys.readouterr().err
 
     def test_golden_40x5(self, tmp_path):
         # the expected bytes were written by the frozenset implementation of

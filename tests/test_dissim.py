@@ -1,9 +1,11 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from umtree import (
+    SetValuedDistanceTable,
     Table,
     euclidean_matrix,
     load_csv,
@@ -94,6 +96,31 @@ class TestSetValuedTable:
     def test_equal_distances_share_one_set(self):
         t = setvalued_table(bool5())
         assert len({id(s) for s in t.dist.values()}) == len(set(t.dist.values()))
+
+    def test_value_equality(self):
+        t = setvalued_table(bool5())
+        assert t == setvalued_table(bool5())
+        x, rows, cols = bool5().values, bool5().row_labels, bool5().col_labels
+        assert t != setvalued_table(Table(x, rows[::-1], cols))
+        assert t != setvalued_table(Table(x, rows, cols[::-1]))
+        y = x.copy()
+        y[3, 2] = 1.0  # d(a,e) loses v3
+        assert t != setvalued_table(Table(y, rows, cols))
+        # the same distinct sets, assigned to the pairs differently
+        u = SetValuedDistanceTable(3, 2, (1, 2), np.array([0, 1, 0]))
+        assert u != SetValuedDistanceTable(3, 2, (1, 2), np.array([0, 1, 1]))
+        assert t != "bool5"
+
+    def test_no_per_pair_objects(self):
+        # 604 450 pairs of one distance: masks and codes only, no dict of pairs
+        x = Table(np.ones((1100, 2)))
+        tracemalloc.start()
+        try:
+            setvalued_table(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestCsv:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umtree import (
+    SetValuedDistanceTable,
     Table,
     build_lattice,
     clusters_at_level,
@@ -146,6 +147,21 @@ class TestGeneralizedUltrametric:
             x = Table((rng.random((6, 5)) > 0.5).astype(float))
             assert triangle_violations(setvalued_table(x)) == []
 
+    def test_violations_found(self):
+        # pairs (0,1), (0,2), (1,2) at {0}, {1}, {}
+        t = SetValuedDistanceTable(3, 2, (1, 2, 0), np.array([0, 1, 2]))
+        assert triangle_violations(t) == [(0, 1, 2), (0, 2, 1)]
+
+
+def test_consumers_build_no_dist(rng):
+    t = setvalued_table(Table((rng.random((7, 3)) > 0.4).astype(float)))
+    for v in build_lattice(t).vertices:
+        pairs_for_node(t, v)
+    for k in range(t.n_attributes + 1):
+        clusters_at_level(t, k)
+    triangle_violations(t)
+    assert "dist" not in vars(t)
+
 
 # -- oracles on frozensets, by exhaustive search -----------------------------
 
@@ -190,6 +206,30 @@ def oracle_clusters(t, vertices, k):
     return sorted(maximal, key=_order)
 
 
+def oracle_violations(t):
+    """The triple loop on frozensets."""
+    out = []
+    for x, y, z in combinations(range(t.n), 3):
+        for a, b, c in ((x, z, y), (x, y, z), (y, z, x)):
+            if not t[a, b] <= (t[a, c] | t[c, b]):
+                out.append((a, c, b))
+    return out
+
+
+@st.composite
+def pair_distance_tables(draw):
+    """Tables built from arbitrary per-pair masks, which need not come
+    from a boolean table, so the triangle inequality can fail."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    size = n * (n - 1) // 2
+    index = {}
+    codes = [
+        index.setdefault(d, len(index))
+        for d in draw(st.lists(st.integers(0, (1 << m) - 1), min_size=size, max_size=size))
+    ]
+    return SetValuedDistanceTable(n, m, tuple(index), np.array(codes, dtype=np.intp))
+
+
 boolean_tables = st.integers(1, 9).flatmap(
     lambda n: st.integers(1, 5).flatmap(
         lambda m: st.lists(
@@ -217,6 +257,12 @@ class TestAgainstOracles:
                         pairs_for_node(t, attrs)
         for k in range(t.n_attributes + 1):
             assert clusters_at_level(t, k) == oracle_clusters(t, vertices, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_distance_tables())
+def test_triangle_violations_against_oracle(t):
+    assert triangle_violations(t) == oracle_violations(t)
 
 
 @settings(max_examples=100, deadline=None)

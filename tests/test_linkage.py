@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from umtree import (
+    DistanceMatrix,
     MergeCriterion,
     cophenetic_matrix,
     euclidean_matrix,
@@ -160,6 +161,27 @@ class TestTieRules:
         # dendrogram numbers nodes in level order
         d = nn_chain_cluster(euclidean_matrix(self.TIED), "complete")
         assert d.merges[2] == (3, 6, 2.0)
+
+
+class TestNearSymmetric:
+    """DistanceMatrix accepts a matrix symmetric within np.allclose; each
+    driver clusters it as it clusters np.minimum(d, d.T)."""
+
+    E = 1e-10
+    # reading rows only, the chain cycled 0 -> 1 -> 2 -> 0 here
+    CYCLE = np.array([[0, 1, 1 + E], [1 + 2 * E, 0, 1 - E], [1 - 2 * E, 1, 0]])
+    # and here merged a cluster twice ("child id 5 out of range")
+    TWICE = np.ones((4, 4)) - np.eye(4) + E * np.array(
+        [[0, 1, -1, -2], [-2, 0, -2, 0], [2, 2, 0, -2], [0, 2, 1, 0]]
+    )
+
+    @pytest.mark.parametrize("d", [CYCLE, TWICE], ids=["cycle", "twice"])
+    @pytest.mark.parametrize("crit", list(MergeCriterion))
+    def test_same_tree_as_symmetrised(self, d, crit):
+        sym = DistanceMatrix(np.minimum(d, d.T))
+        drivers = [naive_cluster, nn_chain_cluster] if crit.reducible else [naive_cluster]
+        for cluster in drivers:
+            assert cluster(DistanceMatrix(d), crit).to_json() == cluster(sym, crit).to_json()
 
 
 class TestMemory:
