@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +42,34 @@ def _load_dend(path) -> Dendrogram:
     return Dendrogram.from_json(Path(path).read_text())
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
+def _leaves(values) -> list:
+    """JSON text of each number in values, from json's C encoder."""
+    return json.dumps(values, separators=(",", ":"))[1:-1].split(",") if values else []
+
+
+def _key(name) -> str:
+    """name as json.dumps writes a dict key (non-str keys converted alike)."""
+    if isinstance(name, str):
+        return encode_basestring_ascii(name)
+    return json.dumps({name: 0})[1:-4]
+
+
+def _block(items, depth, brackets="[]") -> str:
+    """Encoded items as json.dumps(indent=2) lays out a list (or, with
+    brackets "{}", an object of "key: value" items) opened at depth.
+
+    Nested values in items must already be laid out at depth + 1.
+    """
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _csv_lines(rows) -> list:
+    """Each row of a 2-d array as comma-separated %.6f fields."""
+    fmt = ",".join(["%.6f"] * rows.shape[1])
+    return [fmt % tuple(row) for row in rows.tolist()]
 
 
 def cmd_cluster(args) -> int:
@@ -73,56 +100,79 @@ def cmd_wavelet(args) -> int:
     if args.action == "inverse" or args.action == "regress":
         rows = haar.inverse(ht)
         lines = [",".join(table.col_labels or [f"c{j}" for j in range(rows.shape[1])])]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        _write(args.out, "\n".join(lines) + "\n")
+        _write(args.out, "\n".join(lines + _csv_lines(rows)) + "\n")
         return EXIT_OK
 
     if args.action == "chain":
-        report = {}
-        for t in range(n):
-            chain = haar.approximation_chain(ht, t)
-            name = table.row_labels[t] if table.row_labels else str(t)
-            report[name] = [
-                {"partial": [float(v) for v in vec], "error": err}
-                for vec, err in chain
-            ]
-        _write(args.out, json.dumps(report, indent=2))
+        _write(args.out, _chain_json(ht, table.row_labels or [str(t) for t in range(n)]))
         return EXIT_OK
 
     # forward: coefficient JSON plus optional table-style CSV
-    coeffs = {
-        "smooth": [float(v) for v in ht.smooth],
-        "details": {
-            str(n - 1 + r): {"vector": [float(v) for v in d], "level": r}
-            for r, d in sorted(ht.details.items())
-        },
-    }
-    _write(args.out, json.dumps(coeffs, indent=2))
+    ranks = sorted(ht.details)
+    details = [
+        _key(str(n - 1 + r)) + ": " + _block([
+            '"vector": ' + _block(_leaves(ht.details[r].tolist()), 3),
+            '"level": ' + level,
+        ], 2, "{}")
+        for r, level in zip(ranks, _leaves(ranks))
+    ]
+    _write(args.out, _block([
+        '"smooth": ' + _block(_leaves(ht.smooth.tolist()), 1),
+        '"details": ' + _block(details, 1, "{}"),
+    ], 0, "{}"))
     if args.csv:
         cols = [f"s{n - 1}"] + [f"d{r}" for r in range(n - 1, 0, -1)]
-        lines = ["," + ",".join(cols)]
         attrs = table.col_labels or [f"c{j}" for j in range(ht.m)]
-        for j, attr in enumerate(attrs):
-            vals = [ht.smooth[j]] + [ht.details[r][j] for r in range(n - 1, 0, -1)]
-            lines.append(attr + "," + ",".join(_fmt(v) for v in vals))
+        vals = np.column_stack([ht.smooth] + [ht.details[r] for r in range(n - 1, 0, -1)])
+        lines = ["," + ",".join(cols)]
+        lines += [attr + "," + row for attr, row in zip(attrs, _csv_lines(vals))]
         Path(args.csv).write_text("\n".join(lines) + "\n")
     return EXIT_OK
+
+
+def _chain_json(ht, names) -> str:
+    """approximation_chain of every terminal as indent-2 JSON, keyed by name.
+
+    A terminal's partial sums are the rows of the nodes on its root path,
+    root first, so each node's row is encoded once and shared.
+    """
+    dend = ht.dend
+    rows = haar._node_rows(ht)
+    # a step is _block(['"partial": ' + row, '"error": ' + e], 2, "{}"),
+    # written out so that only e is joined per step
+    head = [
+        '{\n      "partial": ' + _block(_leaves(row), 3) + ',\n      "error": '
+        for row in rows.tolist()
+    ]
+    terminals = []
+    for t, name in enumerate(names):
+        path = [*reversed(dend.path_to_root(t)), t]
+        errors = [float(np.linalg.norm(rows[node] - rows[t])) for node in path]
+        steps = [head[node] + e + "\n    }" for node, e in zip(path, _leaves(errors))]
+        terminals.append(_key(name) + ": " + _block(steps, 1))
+    return _block(terminals, 0, "{}")
 
 
 def cmd_padic(args) -> int:
     dend = _load_dend(args.dend).with_rank_levels()
     values = padic.decimal_values(dend, args.p)
-    out = {}
-    for t, (code, value) in enumerate(zip(padic.encode_all(dend, args.p), values)):
-        name = dend.labels[t] if dend.labels else str(t)
-        out[name] = {
-            "coefficients": [[j, c] for j, c in sorted(code.as_dict().items())],
-            "decimal": value,
-        }
-    report = {"p": args.p, "terminals": out}
+    codes = padic.encode_all(dend, args.p)
+    # each (rank, label) pair renders the same wherever it appears
+    pair = {}
+    for r, rank in enumerate(_leaves(list(range(1, dend.n_terminals))), start=1):
+        pair[r, 1] = _block([rank, "1"], 4)
+        pair[r, -1] = _block([rank, "-1"], 4)
+    terminals = [
+        _key(dend.labels[t] if dend.labels else str(t)) + ": " + _block([
+            '"coefficients": ' + _block([pair[rc] for rc in code.as_dict().items()], 3),
+            '"decimal": ' + value,
+        ], 2, "{}")
+        for t, (code, value) in enumerate(zip(codes, _leaves(values)))
+    ]
+    report = [f'"p": {json.dumps(args.p)}', '"terminals": ' + _block(terminals, 1, "{}")]
     if args.check_unique:
-        report["unique"] = len(set(values)) == len(values)
-    _write(args.out, json.dumps(report, indent=2))
+        report.append(f'"unique": {json.dumps(len(set(values)) == len(values))}')
+    _write(args.out, _block(report, 0, "{}"))
     return EXIT_OK
 
 

@@ -103,8 +103,17 @@ class Dendrogram:
         object.__setattr__(self, "merges", merges)
         if len(merges) != n - 1:
             raise ValueError(f"expected {n - 1} merges, got {len(merges)}")
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("labels must match n_terminals")
+        if self.labels is not None:
+            if len(self.labels) != n:
+                raise ValueError("labels must match n_terminals")
+            first = {}
+            for t, label in enumerate(self.labels):
+                try:
+                    seen_at = first.setdefault(label, t)
+                except TypeError:
+                    raise ValueError(f"label {label!r} is not hashable") from None
+                if seen_at != t:
+                    raise ValueError(f"label {label!r} repeated (terminals {seen_at} and {t})")
         seen = set()
         for r, (a, b, lev) in enumerate(merges, start=1):
             node = n - 1 + r

@@ -102,6 +102,12 @@ def load_csv(text_or_path, columns=None) -> Table:
     )
     if has_row_labels:
         row_labels = tuple(r[0].strip() for r in body)
+        first = {}
+        for (line, _), label in zip(rows[1:], row_labels):
+            if first.setdefault(label, line) != line:
+                raise ValueError(
+                    f"CSV line {line} repeats row label {label!r} of line {first[label]}"
+                )
         data = [r[1:] for r in body]
     else:
         row_labels = None
@@ -118,11 +124,18 @@ def euclidean_matrix(data) -> DistanceMatrix:
     """Pairwise Euclidean distance matrix of the table rows."""
     x = data.values if isinstance(data, Table) else np.asarray(data, float)
     sq = np.sum(x**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    d = np.sqrt(d2)
+    # sq_i + sq_j - 2 x_i.x_j in place, in that order: the bits of the
+    # plain expression with one n x n temporary instead of three
+    d = sq[:, None] + sq[None, :]
+    gram = x @ x.T
+    gram *= 2.0
+    d -= gram
+    del gram
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
     np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(np.minimum(d, d.T))
+    d = np.minimum(d, d.T)  # frees the unsymmetrised copy before validation
+    return DistanceMatrix(d)
 
 
 def to_mask(attributes) -> int:

@@ -104,12 +104,13 @@ def reconstruct_one(ht: HaarTransform, terminal: int) -> np.ndarray:
     return row
 
 
-def inverse(ht: HaarTransform) -> np.ndarray:
-    """Exact inverse transform: all rows, in one top-down pass.
+def _node_rows(ht: HaarTransform) -> np.ndarray:
+    """Row of every node (by node id), in one top-down pass.
 
     A node's left child gets the node's row plus its detail and the right
-    child the row minus it: the root-first sums of reconstruct_one, so
-    the rows are bitwise equal to it.
+    child the row minus it: the root-first sums of reconstruct_one and
+    approximation_chain (x + (-d) == x - d), so the rows are bitwise
+    equal to theirs.  A node's row is the partial sum at that node.
     """
     dend = ht.dend
     rows = np.empty((dend.n_nodes, ht.m))
@@ -119,7 +120,12 @@ def inverse(ht: HaarTransform) -> np.ndarray:
         d = ht.details[dend.rank(node)]
         rows[a] = rows[node] + d
         rows[b] = rows[node] - d
-    return rows[:dend.n_terminals]
+    return rows
+
+
+def inverse(ht: HaarTransform) -> np.ndarray:
+    """Exact inverse transform: all rows, in one top-down pass."""
+    return _node_rows(ht)[:ht.dend.n_terminals]
 
 
 def approximation_chain(ht: HaarTransform, terminal: int):

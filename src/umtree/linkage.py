@@ -67,6 +67,9 @@ def _coerce(crit) -> MergeCriterion:
     return MergeCriterion(str(crit).lower())
 
 
+_CLAMPED = "median update went negative (non-Euclidean input); clamped"
+
+
 def lance_williams_update(d_ki, d_kj, d_ij, sizes, crit) -> float:
     """Dissimilarity from cluster k to the merge of i and j.
 
@@ -74,30 +77,36 @@ def lance_williams_update(d_ki, d_kj, d_ij, sizes, crit) -> float:
     squared distances and the result is a squared distance.
     """
     n_i, n_j, n_k = sizes if sizes is not None else (1, 1, 1)
-    row = _lw_row(
+    row, clamped = _lw_row(
         np.array([d_ki], float), np.array([d_kj], float), d_ij, n_k, n_i, n_j,
         _coerce(crit),
     )
+    if clamped:
+        warnings.warn(_CLAMPED)
     return float(row[0])
 
 
 def _lw_row(d_i, d_j, d_ij, sizes_all, n_i, n_j, crit):
-    """Vectorized Lance-Williams update against all other clusters."""
+    """Vectorized Lance-Williams update against all other clusters.
+
+    Returns the row and whether it was clamped: a median row can go
+    negative on non-Euclidean input and is clamped at 0; the caller warns.
+    """
     if crit is MergeCriterion.SINGLE:
-        return np.minimum(d_i, d_j)
+        return np.minimum(d_i, d_j), False
     if crit is MergeCriterion.COMPLETE:
-        return np.maximum(d_i, d_j)
+        return np.maximum(d_i, d_j), False
     if crit is MergeCriterion.AVERAGE:
-        return (n_i * d_i + n_j * d_j) / (n_i + n_j)
+        return (n_i * d_i + n_j * d_j) / (n_i + n_j), False
     if crit is MergeCriterion.WARD:
         tot = n_i + n_j + sizes_all
-        return ((n_i + sizes_all) * d_i + (n_j + sizes_all) * d_j - sizes_all * d_ij) / tot
+        return ((n_i + sizes_all) * d_i + (n_j + sizes_all) * d_j - sizes_all * d_ij) / tot, False
     # median (Gower): midpoint of the two centroids
     row = 0.5 * d_i + 0.5 * d_j - 0.25 * d_ij
-    if (row < 0).any():
-        warnings.warn("median update went negative (non-Euclidean input); clamped")
+    clamped = bool((row < 0).any())
+    if clamped:
         np.maximum(row, 0.0, out=row)
-    return row
+    return row, clamped
 
 
 class _Clusters:
@@ -106,7 +115,8 @@ class _Clusters:
     Slot s holds cluster ids[s]: terminal t starts in slot t, and the
     k-th merge (k = 0, 1, ...) creates cluster n + k in the slot of its
     first child.  The diagonal stays inf.  Rows and columns of retired
-    slots keep stale values, so every scan masks them with live.
+    slots keep stale values, so every scan masks them with live.  clamps
+    counts the merges whose median row was clamped.
     """
 
     def __init__(self, m, crit):
@@ -124,6 +134,7 @@ class _Clusters:
         self.sizes = np.ones(n, dtype=int)
         self.live = np.ones(n, dtype=bool)
         self.raw = []
+        self.clamps = 0
 
     def merge(self, a, b):
         """Merge the clusters in slots a and b into slot a; retire slot b."""
@@ -132,9 +143,10 @@ class _Clusters:
         live[a] = live[b] = False
         others = np.flatnonzero(live)
         live[a] = True
-        row = _lw_row(
+        row, clamped = _lw_row(
             d[a, others], d[b, others], cost, sizes[others], sizes[a], sizes[b], self.crit,
         )
+        self.clamps += clamped
         d[a, others] = row
         d[others, a] = row
         sizes[a] += sizes[b]
@@ -188,6 +200,8 @@ def naive_cluster(m, crit, labels=None) -> Dendrogram:
         # symmetric block is the lexicographically smallest closest pair
         i, j = divmod(int(c.d[np.ix_(s, s)].argmin()), len(s))
         c.merge(s[i], s[j])
+    if c.clamps:
+        warnings.warn(f"{_CLAMPED} in {c.clamps} merges")
     return _finish(c.n, c.raw, crit, labels, reorder=False)
 
 

@@ -94,6 +94,14 @@ class TestCluster:
         assert line in err
         assert "expected 3" in err
 
+    def test_duplicate_row_label_named(self, tmp_path, capsys):
+        # clustering would succeed, but padic and chain would list 2 terminals
+        bad = tmp_path / "dup.csv"
+        bad.write_text(",x,y\na,1,2\na,3,5\nb,0,1\n")
+        assert main(["cluster", "--input", str(bad), "--out", str(tmp_path / "t.json")]) == 2
+        assert "CSV line 3 repeats row label 'a' of line 2" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["cluster"])  # --input missing
@@ -172,6 +180,14 @@ class TestPadic:
         code = dict(map(tuple, obj["terminals"]["x6"]["coefficients"]))
         assert code == {7: 1}  # root-adjacent terminal
 
+    def test_duplicate_tree_labels_rejected(self, tmp_path, dend_json, capsys):
+        tree = json.loads(dend_json.read_text())
+        tree["labels"][7] = tree["labels"][0]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(tree))
+        assert main(["padic", "--dend", str(edited), "--out", str(tmp_path / "p.json")]) == 2
+        assert "label 'x1' repeated (terminals 0 and 7)" in capsys.readouterr().err
+
     def test_non_prime_rejected(self, dend_json):
         assert main(["padic", "--dend", str(dend_json), "--p", "4"]) == 2
 
@@ -247,11 +263,17 @@ class TestTreeGoldens:
         (["wavelet", "inverse", "--data", str(CSV)], "inverse.csv"),
         (["wavelet", "regress", "--data", str(CSV), "--tau", "4.0"], "regress.csv"),
         (["canon"], "canon.json"),
+        # written by the json.dumps(indent=2) writers of forward and chain
+        (["wavelet", "forward", "--data", str(CSV), "--csv", "forward.csv"], "forward.json"),
+        (["wavelet", "chain", "--data", str(CSV)], "chain.json"),
     ])
-    def test_golden(self, tmp_path, argv, expected):
-        out = tmp_path / expected
-        assert main(argv + ["--dend", str(self.TREE), "--out", str(out)]) == 0
-        assert out.read_bytes() == (DATA / f"single_60x3.{expected}").read_bytes()
+    def test_golden(self, tmp_path, monkeypatch, argv, expected):
+        monkeypatch.chdir(tmp_path)  # relative output names land in tmp_path
+        assert main(argv + ["--dend", str(self.TREE), "--out", expected]) == 0
+        names = [expected] + [argv[i + 1] for i, a in enumerate(argv) if a == "--csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (DATA / f"single_60x3.{name}").read_bytes()
 
 
 def test_cli_import_leaves_out_networkx():

@@ -44,6 +44,19 @@ class TestDendrogram:
             # parent below child level
             Dendrogram(3, ((0, 1, 2.0), (2, 3, 1.0)))
 
+    def test_duplicate_labels_rejected(self):
+        merges = ((1, 2, 1.0), (0, 3, 3.5))
+        with pytest.raises(ValueError, match=r"label 'y' repeated \(terminals 1 and 2\)"):
+            Dendrogram(3, merges, labels=("x", "y", "y"))
+        with pytest.raises(ValueError, match="repeated"):
+            Dendrogram(3, merges, labels=(1, True, "1"))  # 1 == True as dict keys
+        with pytest.raises(ValueError, match="not hashable"):
+            Dendrogram(3, merges, labels=("x", ["y"], "z"))
+        text = small_tree().to_json().replace('"z"', '"x"')  # a hand-edited tree
+        with pytest.raises(ValueError, match=r"label 'x' repeated \(terminals 0 and 2\)"):
+            Dendrogram.from_json(text)
+        assert Dendrogram(3, merges, labels=(1, "1", 1.5)).labels == (1, "1", 1.5)
+
     def test_json_round_trip(self):
         d = small_tree()
         back = Dendrogram.from_json(d.to_json())

@@ -33,6 +33,34 @@ class TestEuclidean:
         x = rng.normal(size=(15, 4))
         assert verify_metric(euclidean_matrix(x), tol=1e-12) == []
 
+    def test_bits_of_plain_expression(self, rng):
+        # the in-place evaluation must give the bits of the expression it
+        # replaced, so every tree and artifact stays byte-identical
+        for n, m, scale, offset in [(1, 1, 1.0, 0.0), (2, 3, 1e-8, 0.0), (40, 8, 1.0, 0.0),
+                                    (60, 3, 1.0, 1e6), (33, 5, 1e150, 0.0), (50, 2, 3.0, -7.5)]:
+            x = rng.normal(size=(n, m)) * scale + offset
+            x[n // 2] = x[0]  # a duplicate row: clamped at 0 before the root
+            sq = np.sum(x**2, axis=1)
+            d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+            np.maximum(d2, 0.0, out=d2)
+            d = np.sqrt(d2)
+            np.fill_diagonal(d, 0.0)
+            expected = np.minimum(d, d.T)
+            assert euclidean_matrix(x).values.tobytes() == expected.tobytes()
+
+    def test_one_temporary_matrix(self, rng):
+        # result, gram matrix and DistanceMatrix's checks; 5.15 n^2 doubles
+        # when the expression was evaluated out of place
+        x = rng.normal(size=(600, 8))
+        euclidean_matrix(x)
+        tracemalloc.start()
+        try:
+            euclidean_matrix(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 600 * 600 * 8
+
 
 class TestSimpleMatching:
     def test_worked_pairs(self):
@@ -159,6 +187,13 @@ class TestCsv:
     def test_ragged_row_line_counts_blank_lines(self):
         with pytest.raises(ValueError, match=r"line 4 \(row '5'\) has 1 fields, expected 2"):
             load_csv("a,b\n1,2\n\n5\n")
+
+    def test_duplicate_row_label_named(self):
+        # a repeated label would make two terminals share one report key
+        with pytest.raises(ValueError, match=r"CSV line 3 repeats row label 'a' of line 2"):
+            load_csv(",x,y\na,1,2\na,3,4\nb,5,6\n")
+        with pytest.raises(ValueError, match=r"CSV line 5 repeats row label 'b' of line 3"):
+            load_csv(",x\na,1\n b,2\n\nb ,3\n")  # labels are stripped; blank lines count
 
     def test_missing_file_named(self, tmp_path):
         path = str(tmp_path / "no_such.csv")
