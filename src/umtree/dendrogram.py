@@ -27,6 +27,15 @@ __all__ = [
 ]
 
 
+_BLOCK = 1 << 16  # entries per block of rows in the matrix passes
+
+
+def _row_blocks(n):
+    """Slices of consecutive rows of an n x n matrix, _BLOCK entries or so each."""
+    step = max(1, _BLOCK // max(n, 1))
+    return [slice(r, r + step) for r in range(0, n, step)]
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """Symmetric nonnegative matrix with zero diagonal."""
@@ -36,13 +45,30 @@ class DistanceMatrix:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if not np.isfinite(v).all():
+        square = v.ndim == 2 and v.shape[0] == v.shape[1]
+        finite = square or bool(np.isfinite(v).all())
+        symmetric = nonneg = True
+        # one pass over blocks of rows, without n x n temporaries; symmetry
+        # is np.allclose(v, v.T): |v_ij - v_ji| <= 1e-8 + 1e-5 |v_ji|
+        for rows in _row_blocks(v.shape[0] if square else 0):
+            x, y = v[rows], v[:, rows].T
+            low, high = x.min(), x.max()
+            finite = finite and bool(np.isfinite(low) and np.isfinite(high))
+            nonneg = nonneg and low >= 0
+            with np.errstate(invalid="ignore"):  # inf - inf, as in np.allclose
+                diff = x - y
+            np.abs(diff, out=diff)
+            tol = np.abs(y)
+            tol *= 1e-5
+            tol += 1e-8
+            symmetric = symmetric and bool((diff <= tol).all())
+        if not finite:
             raise ValueError("distances must be finite")
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        if not square:
             raise ValueError("distance matrix must be square")
-        if not np.allclose(v, v.T):
+        if not symmetric:
             raise ValueError("distance matrix must be symmetric")
-        if (v < 0).any():
+        if not nonneg:
             raise ValueError("distances must be nonnegative")
         if np.abs(np.diag(v)).max(initial=0.0) != 0.0:
             raise ValueError("diagonal must be zero")
@@ -291,18 +317,21 @@ def cophenetic_distance(dend: Dendrogram, i: int, j: int) -> float:
 
 
 def cophenetic_matrix(dend: Dendrogram) -> DistanceMatrix:
-    """All pairwise cophenetic distances: each merge fills one block of
-    the matrix in leaf order, which is then permuted to terminal order."""
+    """All pairwise cophenetic distances: each merge fills the rows of
+    one child's terminals over the other child's slice of columns in leaf
+    order; the columns are then permuted to terminal order in place, a
+    block of rows at a time, so the result is the only n x n matrix."""
     n = dend.n_terminals
     lay = dend.layout
     lo, hi = lay.lo.tolist(), lay.hi.tolist()
+    order = lay.order
     d = np.zeros((n, n))
     for a, b, lev in dend.merges:
-        # b's slice starts where a's ends
-        d[lo[a]:hi[a], lo[b]:hi[b]] = lev
-        d[lo[b]:hi[b], lo[a]:hi[a]] = lev
+        d[order[lo[a]:hi[a]], lo[b]:hi[b]] = lev
+        d[order[lo[b]:hi[b]], lo[a]:hi[a]] = lev
     pos = lay.lo[:n]
-    d = d[pos[:, None], pos]  # rebinding frees the leaf-order copy before validation
+    for rows in _row_blocks(n):
+        d[rows] = d[rows, pos]
     return DistanceMatrix(d)
 
 

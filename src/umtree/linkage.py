@@ -3,7 +3,8 @@
 Two drivers produce identical dendrograms for reducible criteria when
 no two candidate merges tie:
 
-* naive_cluster -- O(n^3): repeatedly merge the globally closest pair.
+* naive_cluster -- repeatedly merge the globally closest pair, found
+  from cached nearest neighbours: O(n^2) typically, O(n^3) at worst.
 * nn_chain_cluster -- O(n^2): follow nearest-neighbor chains and merge
   reciprocal nearest neighbors; valid only for reducible criteria
   (single, complete, average, ward).
@@ -190,16 +191,38 @@ def _finish(n, raw_merges, crit, labels=None, reorder=False):
 
 
 def naive_cluster(m, crit, labels=None) -> Dendrogram:
-    """O(n^3) oracle: merge the globally closest pair, n-1 times."""
+    """Merge the globally closest pair, n-1 times, found from each row's
+    cached nearest neighbour (Muellner's generic algorithm, without the
+    heap): O(n^2) on typical data, O(n^3) at worst; any criterion.
+
+    dmin[s] and nn[s] are the smallest live entry of row s and its
+    column, the smallest id on ties; retired slots hold dmin = inf.
+    Both members of every closest pair have dmin at the minimum, so the
+    smallest-id row r there and nn[r] are the lexicographically smallest
+    (min id, max id) closest pair.  After a merge only the new row and
+    the rows that pointed at either child are rescanned; any other row
+    k keeps its neighbour unless the new cluster is strictly closer (the
+    new id is the largest live id, so an older neighbour wins a tie),
+    which also covers a median row that drops below k's minimum.
+    """
     crit = _coerce(crit)
     c = _Clusters(m, crit)
+    d, ids, live = c.d, c.ids, c.live
+    nn = d.argmin(axis=1)  # slots equal ids, so the first minimum is the smallest id
+    dmin = d[np.arange(c.n), nn]
     for _ in range(c.n - 1):
-        s = np.flatnonzero(c.live)
-        s = s[np.argsort(c.ids[s])]
-        # with rows and columns in id order, the first minimum of the
-        # symmetric block is the lexicographically smallest closest pair
-        i, j = divmod(int(c.d[np.ix_(s, s)].argmin()), len(s))
-        c.merge(s[i], s[j])
+        hits = np.flatnonzero(dmin == dmin.min())
+        a = int(hits[ids[hits].argmin()])
+        b = int(nn[a])
+        c.merge(a, b)
+        dmin[b] = np.inf
+        rows = np.flatnonzero(live & ((nn == a) | (nn == b)))  # a itself, as nn[a] == b
+        col = np.where(live, d[:, a], np.inf)
+        nn[col < dmin] = a
+        np.minimum(dmin, col, out=dmin)
+        sub = np.where(live, d[rows], np.inf)
+        dmin[rows] = low = sub.min(axis=1)
+        nn[rows] = np.where(sub == low[:, None], ids, 2 * c.n).argmin(axis=1)
     if c.clamps:
         warnings.warn(f"{_CLAMPED} in {c.clamps} merges")
     return _finish(c.n, c.raw, crit, labels, reorder=False)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,3 +204,104 @@ class TestDistanceMatrix:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             DistanceMatrix(np.array([[0.0, bad], [bad, 0.0]]))
+
+    @staticmethod
+    def metric(n, seed=0):
+        """A valid n x n matrix, large enough to span several blocks."""
+        x = np.random.default_rng(seed).normal(size=(n, 3))
+        v = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(-1))
+        return np.minimum(v, v.T)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_rejects_non_square_by_name(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            DistanceMatrix(np.zeros(shape))
+
+    def test_non_finite_reported_before_shape(self):
+        with pytest.raises(ValueError, match="finite"):
+            DistanceMatrix(np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 2.0]]))
+
+    def test_rejects_asymmetry_by_name(self):
+        v = self.metric(600)
+        v[530, 7] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            DistanceMatrix(v)
+
+    def test_rejects_negative_by_name(self):
+        v = self.metric(600)
+        v[410, 590] = v[590, 410] = -1e-12
+        with pytest.raises(ValueError, match="nonnegative"):
+            DistanceMatrix(v)
+
+    def test_rejects_nonzero_diagonal_by_name(self):
+        v = self.metric(600)
+        v[599, 599] = 1e-300
+        with pytest.raises(ValueError, match="diagonal must be zero"):
+            DistanceMatrix(v)
+
+    @pytest.mark.parametrize("at", [(0, 1), (598, 599), (300, 2)])
+    def test_non_finite_reported_before_asymmetry(self, at):
+        # the asymmetric pair is met before the NaN in any scan order
+        v = self.metric(600)
+        v[1, 0] += 5.0
+        v[at] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            DistanceMatrix(v)
+
+    def test_negative_asymmetric_reports_symmetric(self):
+        v = self.metric(600)
+        v[3, 500] = -1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            DistanceMatrix(v)
+
+    def test_tolerance_is_allclose(self):
+        # lower triangle scaled within rtol 1e-5 / atol 1e-8: accepted
+        v = self.metric(600, seed=1)
+        low = np.tril_indices(600, -1)
+        v[low] *= 1 + 1e-9 * np.random.default_rng(2).normal(size=len(low[0]))
+        assert not np.array_equal(v, v.T)
+        assert DistanceMatrix(v).values is not None
+        # acceptance equals np.allclose(v, v.T) on both sides of its bound
+        for big in (0.0, 1.0, 3.0, 1e6):
+            y = big
+            bound = 1e-8 + 1e-5 * abs(y)
+            for delta in (bound * (1 - 1e-6), bound, bound * (1 + 1e-6), 2 * bound):
+                for i, j in ((1, 0), (0, 1), (599, 2)):
+                    w = self.metric(600, seed=3)
+                    w[i, j] = w[j, i] = y
+                    w[i, j] = y + delta
+                    try:
+                        DistanceMatrix(w)
+                        accepted = True
+                    except ValueError as e:
+                        assert "symmetric" in str(e)
+                        accepted = False
+                    assert accepted == np.allclose(w, w.T), (big, delta, i, j)
+
+
+class TestValidationMemory:
+    """Validation allocates no n x n temporaries."""
+
+    @staticmethod
+    def peak_in_matrices(f, n):
+        tracemalloc.start()
+        try:
+            f()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (n * n * 8)
+
+    def test_distance_matrix(self):
+        n = 1500
+        v = TestDistanceMatrix.metric(n)
+        # 2.13 n^2 doubles when checked with np.isfinite/np.allclose/v < 0
+        assert self.peak_in_matrices(lambda: DistanceMatrix(v), n) < 0.5
+
+    def test_cophenetic_matrix(self, rng):
+        n = 1500
+        d = random_dendrogram(rng, n)
+        d.layout
+        # its result plus the leaf-order copy it permutes; 3.14 with the
+        # n x n validation temporaries
+        assert self.peak_in_matrices(lambda: cophenetic_matrix(d), n) < 1.5

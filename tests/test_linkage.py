@@ -252,3 +252,8 @@ class TestMemory:
 
     def test_naive(self):
         assert self.peak_in_matrices(naive_cluster, "median", 300) < 5
+
+    def test_naive_one_working_matrix(self):
+        # the working matrix and O(n) arrays; 2.05 n^2 doubles when every
+        # merge gathered the id-ordered block of live rows
+        assert self.peak_in_matrices(naive_cluster, "median", 600) < 1.5

@@ -167,3 +167,55 @@ def test_drivers_equal_oracles(x):
         assert_same(naive_cluster(m, crit), oracle_naive_cluster(m, crit))
         if crit.reducible:
             assert_same(nn_chain_cluster(m, crit), oracle_nn_chain_cluster(m, crit))
+
+
+@st.composite
+def large_tables(draw):
+    """The same two kinds of data as tables(), up to 200 rows."""
+    n = draw(st.integers(2, 200))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.integers(0, 3, size=(n, m)).astype(float)
+    return rng.normal(size=(n, m))
+
+
+@pytest.mark.filterwarnings("ignore:median update went negative")
+@settings(max_examples=30, deadline=None)
+@given(large_tables())
+def test_naive_equals_oracle_large(x):
+    m = euclidean_matrix(x)
+    for crit in ("median", "complete"):
+        assert_same(naive_cluster(m, crit), oracle_naive_cluster(m, crit))
+
+
+# -- pinned paths of the cached-neighbour loop -------------------------------
+
+
+@pytest.mark.parametrize("crit", list(MergeCriterion), ids=lambda c: c.value)
+def test_cached_neighbour_retired(crit):
+    # row 2's nearest neighbour is terminal 1, retired by the first merge
+    m = euclidean_matrix(np.array([[0.0], [1.0], [2.1], [5.0]]))
+    assert_same(naive_cluster(m, crit), oracle_naive_cluster(m, crit))
+
+
+def test_median_row_below_cached_minimum():
+    # 0 and 1 merge at 16; the new centroid is at 14 from rows 2 and 3.
+    # Row 2's cached neighbour is row 4 (sqrt 257), so only the new row
+    # being strictly closer can bring it back to the minimum, where it is
+    # the smaller id of the tied pairs (2, 5) and (3, 5); row 3 pointed
+    # at a child and is rescanned.
+    x = np.array([[0, 0], [16, 0], [8, 14], [8, -14], [24, 15]], float)
+    m = euclidean_matrix(x)
+    dend = naive_cluster(m, "median")
+    assert_same(dend, oracle_naive_cluster(m, "median"))
+    assert dend.merges[1][:2] == (2, 5)
+    assert dend.raw_levels[1] < dend.raw_levels[0] == 16.0  # an inversion, repaired
+
+
+@pytest.mark.parametrize("crit", list(MergeCriterion), ids=lambda c: c.value)
+def test_all_rows_duplicate(crit):
+    m = euclidean_matrix(np.ones((9, 2)))
+    dend = naive_cluster(m, crit)
+    assert_same(dend, oracle_naive_cluster(m, crit))
+    assert all(level == 0.0 for _, _, level in dend.merges)

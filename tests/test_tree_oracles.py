@@ -29,7 +29,10 @@ from umtree import (
     verify_metric,
     verify_ultrametric,
 )
+from umtree.dendrogram import _BLOCK
 from umtree.padic import dilation_cluster_map
+
+from conftest import random_dendrogram
 
 
 # -- oracles: the previous implementations, on plain dicts and frozensets --
@@ -274,6 +277,17 @@ def test_cophenetic_matrix_and_distance(dend):
     for i in range(n):
         for j in range(n):
             assert cophenetic_distance(dend, i, j) == want[i, j]
+
+
+def _one_row_last_block():
+    # a size at which the permutation's last block of rows is one row
+    return next(n for n in range(300, 10000) if (n - 1) % (_BLOCK // n) == 0)
+
+
+@pytest.mark.parametrize("n", [300, 1000, _one_row_last_block()])
+def test_cophenetic_matrix_over_row_blocks(n):
+    dend = random_dendrogram(np.random.default_rng(n), n)
+    np.testing.assert_array_equal(cophenetic_matrix(dend).values, oracle_cophenetic(dend))
 
 
 @settings(max_examples=150, deadline=None)
