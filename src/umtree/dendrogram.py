@@ -46,7 +46,7 @@ class DistanceMatrix:
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         square = v.ndim == 2 and v.shape[0] == v.shape[1]
-        finite = square or bool(np.isfinite(v).all())
+        finite = square or bool(np.isfinite(v).all())  # square: checked below
         symmetric = nonneg = True
         # one pass over blocks of rows, without n x n temporaries; symmetry
         # is np.allclose(v, v.T): |v_ij - v_ji| <= 1e-8 + 1e-5 |v_ji|
