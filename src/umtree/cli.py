@@ -47,6 +47,13 @@ def _leaves(values) -> list:
     return json.dumps(values, separators=(",", ":"))[1:-1].split(",") if values else []
 
 
+def _leaf_rows(x) -> list:
+    """_leaves of each row of a 2-d array, from one encoder call."""
+    cells = _leaves(x.ravel().tolist())
+    m = x.shape[1]
+    return [cells[k:k + m] for k in range(0, len(cells), m)]
+
+
 def _key(name) -> str:
     """name as json.dumps writes a dict key (non-str keys converted alike)."""
     if isinstance(name, str):
@@ -108,13 +115,14 @@ def cmd_wavelet(args) -> int:
         return EXIT_OK
 
     # forward: coefficient JSON plus optional table-style CSV
-    ranks = sorted(ht.details)
+    det = np.array([ht.details[r] for r in range(1, n)]).reshape(n - 1, ht.m)  # by rank
+    levels = _leaves(list(range(1, n)))
     details = [
-        _key(str(n - 1 + r)) + ": " + _block([
-            '"vector": ' + _block(_leaves(ht.details[r].tolist()), 3),
-            '"level": ' + level,
+        _key(str(n + k)) + ": " + _block([
+            '"vector": ' + _block(vector, 3),
+            '"level": ' + levels[k],
         ], 2, "{}")
-        for r, level in zip(ranks, _leaves(ranks))
+        for k, vector in enumerate(_leaf_rows(det))
     ]
     _write(args.out, _block([
         '"smooth": ' + _block(_leaves(ht.smooth.tolist()), 1),
@@ -123,7 +131,7 @@ def cmd_wavelet(args) -> int:
     if args.csv:
         cols = [f"s{n - 1}"] + [f"d{r}" for r in range(n - 1, 0, -1)]
         attrs = table.col_labels or [f"c{j}" for j in range(ht.m)]
-        vals = np.column_stack([ht.smooth] + [ht.details[r] for r in range(n - 1, 0, -1)])
+        vals = np.column_stack([ht.smooth, det[::-1].T])
         lines = ["," + ",".join(cols)]
         lines += [attr + "," + row for attr, row in zip(attrs, _csv_lines(vals))]
         Path(args.csv).write_text("\n".join(lines) + "\n")
@@ -134,41 +142,57 @@ def _chain_json(ht, names) -> str:
     """approximation_chain of every terminal as indent-2 JSON, keyed by name.
 
     A terminal's partial sums are the rows of the nodes on its root path,
-    root first, so each node's row is encoded once and shared.
+    root first, so each node's row is encoded once and shared; the errors
+    of all steps come from one batched norm and one encoder call.
     """
     dend = ht.dend
     rows = haar._node_rows(ht)
     # a step is _block(['"partial": ' + row, '"error": ' + e], 2, "{}"),
     # written out so that only e is joined per step
     head = [
-        '{\n      "partial": ' + _block(_leaves(row), 3) + ',\n      "error": '
-        for row in rows.tolist()
+        '{\n      "partial": ' + _block(row, 3) + ',\n      "error": '
+        for row in _leaf_rows(rows)
     ]
-    terminals = []
-    for t, name in enumerate(names):
-        path = [*reversed(dend.path_to_root(t)), t]
-        errors = [float(np.linalg.norm(rows[node] - rows[t])) for node in path]
-        steps = [head[node] + e + "\n    }" for node, e in zip(path, _leaves(errors))]
-        terminals.append(_key(name) + ": " + _block(steps, 1))
+    down = {dend.root: [dend.root]}  # node -> the nodes from the root down to it
+    for node in range(dend.root, dend.n_terminals - 1, -1):
+        above = down.pop(node)
+        for child in dend.children(node):
+            down[child] = above + [child]
+    paths = [down[t] for t in range(dend.n_terminals)]
+    steps = np.concatenate(paths)
+    targets = np.repeat(np.arange(len(paths)), [len(path) for path in paths])
+    errors = iter(_leaves(haar._row_norms(rows[steps] - rows[targets]).tolist()))
+    terminals = [
+        _key(name) + ": " + _block([head[node] + next(errors) + "\n    }" for node in path], 1)
+        for name, path in zip(names, paths)
+    ]
+    del head, down, paths, steps, targets, errors  # freed before the report is joined
     return _block(terminals, 0, "{}")
 
 
 def cmd_padic(args) -> int:
-    dend = _load_dend(args.dend).with_rank_levels()
+    dend = _load_dend(args.dend)
+    n = dend.n_terminals
     values = padic.decimal_values(dend, args.p)
-    codes = padic.encode_all(dend, args.p)
-    # each (rank, label) pair renders the same wherever it appears
-    pair = {}
-    for r, rank in enumerate(_leaves(list(range(1, dend.n_terminals))), start=1):
-        pair[r, 1] = _block([rank, "1"], 4)
-        pair[r, -1] = _block([rank, "-1"], 4)
-    terminals = [
-        _key(dend.labels[t] if dend.labels else str(t)) + ": " + _block([
-            '"coefficients": ' + _block([pair[rc] for rc in code.as_dict().items()], 3),
+    # A terminal's coefficients by ascending rank are the (rank, label)
+    # items of its root path read upwards, so a child's text is its own
+    # item, each item led by its separator, in front of its parent's text.
+    # An internal node's text is dropped once both children have theirs.
+    sep = ",\n" + "  " * 4
+    ranks = _leaves(list(range(n)))
+    tail = {dend.root: ""}
+    for node in range(dend.root, n - 1, -1):
+        a, b = dend.children(node)
+        rank, above = ranks[dend.rank(node)], tail.pop(node)
+        tail[a] = sep + _block([rank, "1"], 4) + above
+        tail[b] = sep + _block([rank, "-1"], 4) + above
+    terminals = []
+    for t, value in enumerate(_leaves(values)):
+        coeffs = tail.pop(t)
+        terminals.append(_key(dend.labels[t] if dend.labels else str(t)) + ": " + _block([
+            '"coefficients": ' + ("[" + coeffs[1:] + "\n" + "  " * 3 + "]" if coeffs else "[]"),
             '"decimal": ' + value,
-        ], 2, "{}")
-        for t, (code, value) in enumerate(zip(codes, _leaves(values)))
-    ]
+        ], 2, "{}"))
     report = [f'"p": {json.dumps(args.p)}', '"terminals": ' + _block(terminals, 1, "{}")]
     if args.check_unique:
         report.append(f'"unique": {json.dumps(len(set(values)) == len(values))}')
@@ -225,8 +249,7 @@ def cmd_genum(args) -> int:
 def cmd_canon(args) -> int:
     dend = _load_dend(args.dend)
     canon, perm = symmetry.canonicalize(dend)
-    payload = json.loads(canon.to_json())
-    payload["swapped_nodes"] = sorted(node for node, s in perm.items() if s)
+    payload = {**canon.to_dict(), "swapped_nodes": sorted(node for node, s in perm.items() if s)}
     _write(args.out, json.dumps(payload))
     return EXIT_OK
 

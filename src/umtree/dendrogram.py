@@ -266,14 +266,16 @@ class Dendrogram:
 
     # -- serialization -----------------------------------------------------
 
+    def to_dict(self) -> dict:
+        """The object to_json writes."""
+        return {
+            "n_terminals": self.n_terminals,
+            "merges": [[a, b, lev] for a, b, lev in self.merges],
+            **({"labels": list(self.labels)} if self.labels else {}),
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_terminals": self.n_terminals,
-                "merges": [[a, b, lev] for a, b, lev in self.merges],
-                **({"labels": list(self.labels)} if self.labels else {}),
-            }
-        )
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "Dendrogram":

@@ -123,6 +123,18 @@ def _node_rows(ht: HaarTransform) -> np.ndarray:
     return rows
 
 
+def _row_norms(x) -> np.ndarray:
+    """Euclidean norm of each row of a 2-d array, with the bits of
+    float(np.linalg.norm(row)).
+
+    norm takes the square root of a contiguous row's BLAS dot with itself;
+    a stacked 1 x m by m x 1 matmul over contiguous rows takes the same
+    dot, where einsum and norm(axis=1) sum in another order.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
+
+
 def inverse(ht: HaarTransform) -> np.ndarray:
     """Exact inverse transform: all rows, in one top-down pass."""
     return _node_rows(ht)[:ht.dend.n_terminals]
@@ -138,8 +150,8 @@ def approximation_chain(ht: HaarTransform, terminal: int):
     partials = [ht.smooth.copy()]
     for node in reversed(ht.dend.path_to_root(terminal)):
         partials.append(partials[-1] + ht.sign(node, terminal) * ht.details[ht.dend.rank(node)])
-    target = partials[-1]
-    return [(partial, float(np.linalg.norm(partial - target))) for partial in partials]
+    errors = _row_norms(np.array(partials) - partials[-1])
+    return list(zip(partials, errors.tolist()))
 
 
 def threshold_regress(ht: HaarTransform, tau: float, per_coordinate: bool = False) -> HaarTransform:
@@ -150,10 +162,12 @@ def threshold_regress(ht: HaarTransform, tau: float, per_coordinate: bool = Fals
     """
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
-    details = {}
-    for r, d in ht.details.items():
-        if per_coordinate:
-            details[r] = np.where(np.abs(d) < tau, 0.0, d)
-        else:
-            details[r] = np.zeros_like(d) if np.linalg.norm(d) < tau else d
+    if per_coordinate:
+        details = {r: np.where(np.abs(d) < tau, 0.0, d) for r, d in ht.details.items()}
+    else:
+        vectors = np.array(list(ht.details.values())).reshape(len(ht.details), ht.m)
+        small = (_row_norms(vectors) < tau).tolist()
+        details = {
+            r: np.zeros_like(d) if zero else d for (r, d), zero in zip(ht.details.items(), small)
+        }
     return replace(ht, details=details)

@@ -115,7 +115,15 @@ def decimal_values(dend: Dendrogram, p: int) -> list:
 
 
 def check_uniqueness(dend: Dendrogram, p: int) -> bool:
-    """True iff all terminals' decimal values are distinct."""
+    """True iff all terminals' decimal values are distinct.
+
+    On a tree this holds for every p >= 2.  Let R be the rank of the
+    lowest node above two terminals: their codes agree above rank R and
+    have opposite signs at R, which puts 2 p^R between their values, and
+    the ranks 1..R-1 below change that by at most
+    2 (p + ... + p^(R-1)) = 2 (p^R - p) / (p - 1) <= 2 p^R - 4.  The check
+    is still computed, as a test of the encoding.
+    """
     vals = decimal_values(dend, p)
     return len(set(vals)) == len(vals)
 

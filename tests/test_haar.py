@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from umtree import (
     Dendrogram,
@@ -13,6 +15,7 @@ from umtree import (
     threshold_regress,
 )
 from umtree.datasets import iris8
+from umtree.haar import _row_norms
 from umtree.selftest import IRIS8_DETAILS, IRIS8_SMOOTH
 
 from conftest import random_dendrogram, random_points
@@ -218,3 +221,38 @@ class TestApplyToSignal:
         d = random_dendrogram(rng, 6)
         with pytest.raises(ValueError):
             forward(d, np.zeros((5, 2)))
+
+
+@st.composite
+def row_arrays(draw):
+    """Rows of 1 to 100 entries at scales 1e-3 to 1e6, rows of +-1e308
+    whose squares overflow, and rows with NaN and infinite entries; in C
+    or Fortran order."""
+    k, m = draw(st.integers(1, 6)), draw(st.integers(1, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(k, m)) * 10.0 ** draw(st.integers(-3, 6))
+    kind = draw(st.sampled_from(["normal", "overflow", "special"]))
+    if kind == "overflow":
+        x = rng.choice([1e308, -1e308], size=(k, m))
+    elif kind == "special":
+        mask = rng.random((k, m)) < 0.2
+        x[mask] = rng.choice([np.nan, np.inf, -np.inf, 1e308], size=mask.sum())
+    return np.asfortranarray(x) if draw(st.booleans()) else x
+
+
+class TestRowNorms:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowed squares
+    @settings(max_examples=300, deadline=None)
+    @given(row_arrays())
+    @example(np.array([[-3.0]]))
+    @example(np.array([[1e308, -1e308]]))
+    @example(np.array([[np.nan, 1.0], [np.inf, -np.inf]]))
+    def test_bits_of_linalg_norm(self, x):
+        want = np.array([float(np.linalg.norm(row)) for row in x])
+        assert _row_norms(x).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_one_step_path(self):
+        ht = forward(Dendrogram(1, ()), np.array([[1e308, -2.0]]))
+        [(partial, error)] = approximation_chain(ht, 0)
+        np.testing.assert_array_equal(partial, [1e308, -2.0])
+        assert error == 0.0

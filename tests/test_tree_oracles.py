@@ -26,6 +26,7 @@ from umtree import (
     encode_all,
     forward,
     inverse,
+    threshold_regress,
     verify_metric,
     verify_ultrametric,
 )
@@ -87,6 +88,12 @@ def oracle_chain(ht, t):
         partial = partial + tree.sign(node, t) * ht.details[node - tree.n + 1]
         chain.append((partial.copy(), float(np.linalg.norm(partial - target))))
     return chain
+
+
+def oracle_threshold_regress(ht, tau):
+    return {
+        r: np.zeros_like(d) if np.linalg.norm(d) < tau else d for r, d in ht.details.items()
+    }
 
 
 def oracle_code(tree, t):
@@ -238,6 +245,19 @@ def test_approximation_chain_equals_per_terminal_walk(case):
         assert [err for _, err in got] == [err for _, err in want]
         for (a, _), (b, _) in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_data())
+def test_threshold_regress_equals_per_detail_norms(case):
+    dend, x = case
+    ht = forward(dend, x)
+    # a tau at a detail's own norm keeps that detail: the test is norm < tau
+    for tau in [0.0, np.inf, *(float(np.linalg.norm(d)) for d in ht.details.values())]:
+        got, want = threshold_regress(ht, tau).details, oracle_threshold_regress(ht, tau)
+        assert got.keys() == want.keys()
+        for r in want:
+            np.testing.assert_array_equal(got[r], want[r])
 
 
 @settings(max_examples=100, deadline=None)
