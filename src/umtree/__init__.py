@@ -52,7 +52,6 @@ from .padic import (
     decimal_values,
     dilate,
     encode,
-    encode_all,
 )
 from .symmetry import apply_permutation, canonicalize
 
@@ -84,7 +83,6 @@ __all__ = [
     "approximation_chain",
     "threshold_regress",
     "encode",
-    "encode_all",
     "decimal_value",
     "decimal_values",
     "check_uniqueness",

@@ -186,8 +186,16 @@ def cmd_padic(args) -> int:
         rank, above = ranks[dend.rank(node)], tail.pop(node)
         tail[a] = sep + _block([rank, "1"], 4) + above
         tail[b] = sep + _block([rank, "-1"], 4) + above
+    # the values can run past Python's int-to-text digit limit (4300 by
+    # default), so it is lifted while they are encoded
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        decimals = _leaves(values)
+    finally:
+        sys.set_int_max_str_digits(limit)
     terminals = []
-    for t, value in enumerate(_leaves(values)):
+    for t, value in enumerate(decimals):
         coeffs = tail.pop(t)
         terminals.append(_key(dend.labels[t] if dend.labels else str(t)) + ": " + _block([
             '"coefficients": ' + ("[" + coeffs[1:] + "\n" + "  " * 3 + "]" if coeffs else "[]"),

@@ -5,6 +5,10 @@ semilattice ordered by inclusion and leveled by cardinality.  Level
 clusters at level k are the maximal object sets whose internal pair
 distances all fit inside a single maximal lattice node of level <= k.
 
+Level clusters are concept extents: pair (i, j), at distance
+~(w_i & w_j) for row masks w, is linked within node v iff ~v <= w_i & w_j,
+so the pairs linked within v are all the pairs of the extent of ~v.
+
 Sets are handled as int bitmasks (see dissim.to_mask) and returned as
 frozensets.
 """
@@ -17,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dissim import SetValuedDistanceTable, from_mask, row_masks, to_mask
+from .dissim import SetValuedDistanceTable, from_mask, to_mask
 
 __all__ = [
     "Semilattice",
@@ -106,44 +110,32 @@ def pairs_for_node(t: SetValuedDistanceTable, node) -> list:
     return list(zip(i[hit].tolist(), j[hit].tolist()))
 
 
-def _maximal_cliques(adj) -> list:
-    """Maximal cliques, as bitmasks, of the graph whose vertex v has the
-    neighbour bitmask adj[v]: Bron-Kerbosch with Tomita et al.'s (2006)
-    pivot, on an explicit stack so that clique size is not limited by
-    recursion depth."""
-    cliques = []
-    stack = [(0, (1 << len(adj)) - 1, 0)] if len(adj) else []  # (clique, candidates, excluded)
-    while stack:
-        r, p, x = stack.pop()
-        if not p:
-            if not x:
-                cliques.append(r)
-            continue
-        pivot = max(from_mask(p | x), key=lambda u: (p & adj[u]).bit_count())
-        for v in from_mask(p & ~adj[pivot]):
-            stack.append((r | 1 << v, p & adj[v], x & adj[v]))
-            p &= ~(1 << v)
-            x |= 1 << v
-    return cliques
-
-
 def clusters_at_level(t: SetValuedDistanceTable, k: int) -> list:
     """Maximal object sets linked entirely within some maximal lattice
-    node of level <= k; dominated sets (including singletons) removed."""
+    node of level <= k; dominated sets (including singletons) removed.
+
+    Pair (i, j) is linked within v iff ~v <= w_i & w_j, so the linked
+    pairs are all the pairs of the extent of ~v: each maximal node gives
+    one cluster, the rows its linked pairs meet.  A per-pair table that
+    links only some pairs of those rows raises ValueError."""
     if not 0 <= k <= t.n_attributes:
         raise ValueError(f"level {k} out of range 0..{t.n_attributes}")
     eligible = [v for v in _union_closure(t.masks) if v.bit_count() <= k]
     maximal = [v for v in eligible if not any(v != w and v & w == v for w in eligible)]
     i, j = np.triu_indices(t.n, 1)
-    cliques = set()
-    # with no eligible node, 0 is not an observed set and links no pair
-    for node in maximal or [0]:
+    clusters = {1 << x for x in range(t.n)}
+    for node in maximal:
         linked = np.array([m & node == m for m in t.masks], dtype=bool)[t.codes]
-        adj = np.zeros((t.n, t.n), dtype=bool)
-        adj[i[linked], j[linked]] = True
-        cliques.update(_maximal_cliques(row_masks(adj | adj.T)))
+        met = np.zeros(t.n, dtype=bool)
+        met[i[linked]] = met[j[linked]] = True
+        r = met.sum()
+        if linked.sum() != r * (r - 1) // 2:
+            raise ValueError(
+                f"level {k}: node {list(from_mask(node))} links only some pairs of its rows"
+            )
+        clusters.add(to_mask(np.flatnonzero(met).tolist()))
     keep = []
-    for c in sorted(cliques, key=int.bit_count, reverse=True):
+    for c in sorted(clusters, key=int.bit_count, reverse=True):
         if not any(c & d == c for d in keep):
             keep.append(c)
     return [frozenset(from_mask(c)) for c in sorted(keep, key=_mask_key)]
@@ -151,7 +143,8 @@ def clusters_at_level(t: SetValuedDistanceTable, k: int) -> list:
 
 def triangle_violations(t: SetValuedDistanceTable) -> list:
     """Triples breaking the set-valued strong triangle inequality
-    d(x,z) <= d(x,y) | d(y,z); empty for simple-matching tables."""
+    d(x,z) <= d(x,y) | d(y,z); empty for simple-matching tables, as
+    ~(w_x & w_y) | ~(w_y & w_z) = ~(w_x & w_y & w_z) >= ~(w_x & w_z)."""
     d = [[0] * t.n for _ in range(t.n)]
     for (a, b), c in zip(t.pairs(), t.codes.tolist()):
         d[a][b] = d[b][a] = t.masks[c]

@@ -6,9 +6,9 @@ by the node's agglomeration rank.  Multiplying by 1/p (the dilation
 operator) shifts every rank down by one and drops the bottom rank:
 the whole configuration rises one level in the hierarchy.
 
-Codes do not depend on p, only their decimal values do.  Both are read
-off the tree top-down in one pass: a child's code is its parent's plus
-the parent's rank with the child's branch label.
+Codes do not depend on p, only their decimal values do.  The values of
+all terminals are read off the tree top-down in one pass: a child's value
+is its parent's plus its branch label times p to the parent's rank.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .dendrogram import Dendrogram
 __all__ = [
     "PadicCode",
     "encode",
-    "encode_all",
     "decimal_value",
     "decimal_values",
     "check_uniqueness",
@@ -78,17 +77,6 @@ def encode(dend: Dendrogram, p: int, terminal: int) -> PadicCode:
         coeffs[dend.rank(parent)] = dend.branch_label(parent, node)
         node = parent
     return PadicCode(p, MappingProxyType(coeffs))
-
-
-def encode_all(dend: Dendrogram, p: int) -> list:
-    """Codes of all terminals, by terminal id, from one top-down pass."""
-    coeffs = [()] * dend.n_nodes  # (rank, label) pairs, ascending rank
-    for node in range(dend.root, dend.n_terminals - 1, -1):
-        a, b = dend.children(node)
-        r = dend.rank(node)
-        coeffs[a] = ((r, +1),) + coeffs[node]
-        coeffs[b] = ((r, -1),) + coeffs[node]
-    return [PadicCode(p, MappingProxyType(dict(c))) for c in coeffs[:dend.n_terminals]]
 
 
 def decimal_value(code: PadicCode) -> int:

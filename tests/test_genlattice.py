@@ -14,7 +14,8 @@ from umtree import (
     setvalued_table,
 )
 from umtree.datasets import bool5
-from umtree.genlattice import _maximal_cliques, triangle_violations
+from umtree.dissim import from_mask, row_masks
+from umtree.genlattice import _mask_key, _union_closure, triangle_violations
 
 # object ids: a=0, b=1, c=2, e=3, f=4; attribute ids: v1=0, v2=1, v3=2
 
@@ -123,6 +124,14 @@ class TestClustersAtLevel:
         with pytest.raises(ValueError):
             clusters_at_level(table, 4)
 
+    def test_path_link_graph_rejected(self):
+        # pairs (0,1), (0,2), (1,2) at {}, {0}, {}: at level 0 the pairs
+        # linked within {} form the path 0-1-2, which no boolean table gives
+        t = SetValuedDistanceTable(3, 1, (0, 1), np.array([0, 1, 0]))
+        with pytest.raises(ValueError, match="level 0"):
+            clusters_at_level(t, 0)
+        assert clusters_at_level(t, 1) == [frozenset({0, 1, 2})]
+
     def test_monotone_in_level(self, rng):
         x = Table((rng.random((8, 4)) > 0.5).astype(float))
         t = setvalued_table(x)
@@ -206,6 +215,52 @@ def oracle_clusters(t, vertices, k):
     return sorted(maximal, key=_order)
 
 
+def _maximal_cliques(adj) -> list:
+    """Maximal cliques, as bitmasks, of the graph whose vertex v has the
+    neighbour bitmask adj[v]: Bron-Kerbosch with Tomita et al.'s (2006)
+    pivot, on an explicit stack so that clique size is not limited by
+    recursion depth."""
+    cliques = []
+    stack = [(0, (1 << len(adj)) - 1, 0)] if len(adj) else []  # (clique, candidates, excluded)
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                cliques.append(r)
+            continue
+        pivot = max(from_mask(p | x), key=lambda u: (p & adj[u]).bit_count())
+        for v in from_mask(p & ~adj[pivot]):
+            stack.append((r | 1 << v, p & adj[v], x & adj[v]))
+            p &= ~(1 << v)
+            x |= 1 << v
+    return cliques
+
+
+def oracle_clique_clusters(t, k):
+    """The maximal cliques of each maximal node's link graph, dominated
+    ones removed: clusters_at_level as a general clique search.  Also
+    says whether every such graph is one clique plus isolated rows, the
+    case that clusters_at_level accepts."""
+    eligible = [v for v in _union_closure(t.masks) if v.bit_count() <= k]
+    maximal = [v for v in eligible if not any(v != w and v & w == v for w in eligible)]
+    i, j = np.triu_indices(t.n, 1)
+    cliques = set()
+    one_clique = True
+    # with no eligible node, 0 is not an observed set and links no pair
+    for node in maximal or [0]:
+        linked = np.array([m & node == m for m in t.masks], dtype=bool)[t.codes]
+        adj = np.zeros((t.n, t.n), dtype=bool)
+        adj[i[linked], j[linked]] = True
+        found = _maximal_cliques(row_masks(adj | adj.T))
+        one_clique &= sum(c.bit_count() > 1 for c in found) <= 1
+        cliques.update(found)
+    keep = []
+    for c in sorted(cliques, key=int.bit_count, reverse=True):
+        if not any(c & d == c for d in keep):
+            keep.append(c)
+    return [frozenset(from_mask(c)) for c in sorted(keep, key=_mask_key)], one_clique
+
+
 def oracle_violations(t):
     """The triple loop on frozensets."""
     out = []
@@ -230,13 +285,17 @@ def pair_distance_tables(draw):
     return SetValuedDistanceTable(n, m, tuple(index), np.array(codes, dtype=np.intp))
 
 
-boolean_tables = st.integers(1, 9).flatmap(
-    lambda n: st.integers(1, 5).flatmap(
-        lambda m: st.lists(
-            st.lists(st.booleans(), min_size=m, max_size=m), min_size=n, max_size=n
+def boolean_tables_up_to(n, m):
+    return st.integers(1, n).flatmap(
+        lambda n: st.integers(1, m).flatmap(
+            lambda m: st.lists(
+                st.lists(st.booleans(), min_size=m, max_size=m), min_size=n, max_size=n
+            )
         )
     )
-)
+
+
+boolean_tables = boolean_tables_up_to(9, 5)
 
 
 class TestAgainstOracles:
@@ -263,6 +322,28 @@ class TestAgainstOracles:
 @given(pair_distance_tables())
 def test_triangle_violations_against_oracle(t):
     assert triangle_violations(t) == oracle_violations(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(boolean_tables_up_to(60, 7))
+def test_clusters_equal_clique_search(rows):
+    t = setvalued_table(Table(np.array(rows, dtype=float)))
+    for k in range(t.n_attributes + 1):
+        want, one_clique = oracle_clique_clusters(t, k)
+        assert one_clique
+        assert clusters_at_level(t, k) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_distance_tables())
+def test_per_pair_clusters_equal_clique_search_or_raise(t):
+    for k in range(t.n_attributes + 1):
+        want, one_clique = oracle_clique_clusters(t, k)
+        if one_clique:
+            assert clusters_at_level(t, k) == want
+        else:
+            with pytest.raises(ValueError, match=f"level {k}:"):
+                clusters_at_level(t, k)
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,6 +12,7 @@ chain errors to NaN.
 import csv
 import io
 import json
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -40,7 +41,8 @@ def oracle_padic(dend, p, check_unique):
     dend = dend.with_rank_levels()
     values = padic.decimal_values(dend, p)
     out = {}
-    for t, (code, value) in enumerate(zip(padic.encode_all(dend, p), values)):
+    for t, value in enumerate(values):
+        code = padic.encode(dend, p, t)
         name = dend.labels[t] if dend.labels else str(t)
         out[name] = {
             "coefficients": [[j, c] for j, c in sorted(code.as_dict().items())],
@@ -209,13 +211,31 @@ def test_padic_writes_no_per_terminal_codes(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("padic called a per-terminal encoder")
 
-    monkeypatch.setattr(padic, "encode_all", refuse)
     monkeypatch.setattr(padic, "encode", refuse)
     monkeypatch.setattr(Dendrogram, "with_rank_levels", refuse)
     (tmp_path / "tree.json").write_text(caterpillar(40, True).to_json())
     assert json.loads(run(tmp_path, ["padic", "--p", "3"]))["terminals"]["39"] == {
         "coefficients": [[39, 1]], "decimal": 3**39,
     }
+
+
+def test_padic_values_past_digit_limit(tmp_path):
+    """At p = 10007 the deepest terminal of a 1100-terminal chain has a
+    value of about 4400 digits, past Python's default int-to-text limit
+    of 4300; padic writes it in full and leaves the limit as it was."""
+    dend = caterpillar(1100, False)
+    (tmp_path / "tree.json").write_text(dend.to_json())
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)  # Python's default, whatever was set before
+        report = json.loads(run(tmp_path, ["padic", "--p", "10007"]), parse_int=str)
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        want = str(padic.decimal_values(dend, 10007)[0])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > 4300
+    assert report["terminals"]["0"]["decimal"] == want
 
 
 def test_padic_peak_memory(tmp_path):
