@@ -27,7 +27,7 @@ header = [f"s{n-1}"] + [f"d{r}" for r in range(n - 1, 0, -1)]
 print("coefficient table (rows = attributes):")
 print("         " + "  ".join(f"{h:>9}" for h in header))
 for j, attr in enumerate(data.col_labels):
-    vals = [ht.smooth[j]] + [ht.details[r][j] for r in range(n - 1, 0, -1)]
+    vals = [ht.smooth[j], *ht.details[::-1, j]]
     print(f"{attr:>8} " + "  ".join(f"{v:9.6f}" for v in vals))
 
 print("\nexact inverse: max |error| =", np.abs(inverse(ht) - data.values).max())
@@ -39,6 +39,6 @@ for vec, err in approximation_chain(ht, t):
 print("row reconstructed:", np.round(reconstruct_one(ht, t), 6))
 
 smoothed = threshold_regress(ht, 0.1)
-kept = sorted(r for r, d in smoothed.details.items() if np.linalg.norm(d) > 0)
+kept = [r for r, d in enumerate(smoothed.details, start=1) if np.linalg.norm(d) > 0]
 print(f"\nhard threshold 0.1 keeps details {kept}; smoothed rows:")
 print(np.round(inverse(smoothed), 4))

@@ -39,8 +39,8 @@ ht, ht2 = forward(tree, data), forward(swapped, data)
 print("\nround trip still exact after swaps:",
       np.abs(inverse(ht2) - data).max() == 0.0
       or np.abs(inverse(ht2) - data).max() < 1e-12)
-negated = [r for r in range(1, 8) if np.allclose(ht2.details[r], -ht.details[r])
-           and np.linalg.norm(ht.details[r]) > 0]
+negated = [r for r in range(1, 8) if np.allclose(ht2.details[r - 1], -ht.details[r - 1])
+           and np.linalg.norm(ht.details[r - 1]) > 0]
 print("details negated at ranks:", negated)
 
 canon, applied = canonicalize(swapped)

@@ -115,14 +115,13 @@ def cmd_wavelet(args) -> int:
         return EXIT_OK
 
     # forward: coefficient JSON plus optional table-style CSV
-    det = np.array([ht.details[r] for r in range(1, n)]).reshape(n - 1, ht.m)  # by rank
     levels = _leaves(list(range(1, n)))
     details = [
         _key(str(n + k)) + ": " + _block([
             '"vector": ' + _block(vector, 3),
             '"level": ' + levels[k],
         ], 2, "{}")
-        for k, vector in enumerate(_leaf_rows(det))
+        for k, vector in enumerate(_leaf_rows(ht.details))
     ]
     _write(args.out, _block([
         '"smooth": ' + _block(_leaves(ht.smooth.tolist()), 1),
@@ -131,7 +130,7 @@ def cmd_wavelet(args) -> int:
     if args.csv:
         cols = [f"s{n - 1}"] + [f"d{r}" for r in range(n - 1, 0, -1)]
         attrs = table.col_labels or [f"c{j}" for j in range(ht.m)]
-        vals = np.column_stack([ht.smooth, det[::-1].T])
+        vals = np.column_stack([ht.smooth, ht.details[::-1].T])
         lines = ["," + ",".join(cols)]
         lines += [attr + "," + row for attr, row in zip(attrs, _csv_lines(vals))]
         Path(args.csv).write_text("\n".join(lines) + "\n")

@@ -228,10 +228,10 @@ class Dendrogram:
             raise IndexError(f"terminal {terminal} out of range")
         parent = self.layout.parent
         path = []
-        node = terminal
-        while parent[node] != -1:
-            node = int(parent[node])
+        node = parent.item(terminal)
+        while node != -1:
             path.append(node)
+            node = parent.item(node)
         return path
 
     def contains(self, node: int, terminal: int) -> bool:

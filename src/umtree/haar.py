@@ -36,23 +36,24 @@ __all__ = [
 class HaarTransform:
     """Global smooth, per-merge detail vectors, and the tree they live on.
 
-    details[r] is the detail of the rank-r merge (r = 1..n-1); the smooth
-    is s_{n-1}, the root smooth.  Signs are carried by the tree's branch
-    labels: sign(node, terminal) = +1 iff the terminal sits under the
-    left child.
+    details is an (n-1, m) array: row k is the detail of node n + k, the
+    rank-(k+1) merge.  The smooth is s_{n-1}, the root smooth.  Signs are
+    carried by the tree's branch labels: sign(node, terminal) = +1 iff the
+    terminal sits under the left child.
     """
 
     dend: Dendrogram
     smooth: np.ndarray
-    details: dict
+    details: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "smooth", np.asarray(self.smooth, float))
-        object.__setattr__(
-            self,
-            "details",
-            {int(r): np.asarray(v, float) for r, v in self.details.items()},
-        )
+        smooth = np.asarray(self.smooth, float)
+        details = np.asarray(self.details, float)
+        shape = (self.dend.n_terminals - 1, smooth.shape[0])
+        if details.shape != shape:
+            raise ValueError(f"details of shape {details.shape}, expected {shape}")
+        object.__setattr__(self, "smooth", smooth)
+        object.__setattr__(self, "details", details)
 
     @property
     def m(self) -> int:
@@ -83,41 +84,44 @@ def forward(dend: Dendrogram, data) -> HaarTransform:
     if x.ndim == 1:
         x = x[:, None]
     if x.shape[0] != dend.n_terminals:
-        raise ValueError(
-            f"{x.shape[0]} rows for {dend.n_terminals} terminals"
-        )
-    smooths = {t: x[t] for t in range(dend.n_terminals)}
-    details = {}
-    for r, (a, b, _) in enumerate(dend.merges, start=1):
-        s = 0.5 * (smooths[a] + smooths[b])
-        details[r] = s - smooths[b]
-        smooths[dend.n_terminals - 1 + r] = s
-    return HaarTransform(dend, smooths[dend.root], details)
+        raise ValueError(f"{x.shape[0]} rows for {dend.n_terminals} terminals")
+    n = dend.n_terminals
+    smooths = np.empty((dend.n_nodes, x.shape[1]))
+    smooths[:n] = x
+    for node, (a, b, _) in enumerate(dend.merges, start=n):
+        smooths[node] = 0.5 * (smooths[a] + smooths[b])
+    right = [b for _, b, _ in dend.merges]
+    return HaarTransform(dend, smooths[dend.root].copy(), smooths[n:] - smooths[right])
+
+
+def _path_rows(ht: HaarTransform, terminal: int) -> np.ndarray:
+    """Rows of the nodes on terminal's root path, root first (the
+    partial sums): entering a left child adds the node's detail, entering
+    a right child subtracts it, as in _node_rows."""
+    dend, n = ht.dend, ht.dend.n_terminals
+    path = dend.path_to_root(terminal)[::-1] + [terminal]
+    rows = np.empty((len(path), ht.m))
+    rows[0] = ht.smooth
+    for k, node in enumerate(path[:-1]):
+        d = ht.details[node - n]
+        rows[k + 1] = rows[k] + d if path[k + 1] == dend.children(node)[0] else rows[k] - d
+    return rows
 
 
 def reconstruct_one(ht: HaarTransform, terminal: int) -> np.ndarray:
-    """Single row: smooth plus the signed details on the root path."""
-    # summed root-first, matching approximation_chain bitwise
-    row = ht.smooth.copy()
-    for node in reversed(ht.dend.path_to_root(terminal)):
-        row += ht.sign(node, terminal) * ht.details[ht.dend.rank(node)]
-    return row
+    """Single row: the last partial sum of approximation_chain."""
+    return _path_rows(ht, terminal)[-1]
 
 
 def _node_rows(ht: HaarTransform) -> np.ndarray:
-    """Row of every node (by node id), in one top-down pass.
-
-    A node's left child gets the node's row plus its detail and the right
-    child the row minus it: the root-first sums of reconstruct_one and
-    approximation_chain (x + (-d) == x - d), so the rows are bitwise
-    equal to theirs.  A node's row is the partial sum at that node.
-    """
-    dend = ht.dend
+    """Row of every node (by node id), in one top-down pass with the sums
+    of _path_rows, so a node's row is bitwise its partial sum."""
+    dend, n = ht.dend, ht.dend.n_terminals
     rows = np.empty((dend.n_nodes, ht.m))
     rows[dend.root] = ht.smooth
-    for node in range(dend.root, dend.n_terminals - 1, -1):
+    for node in range(dend.root, n - 1, -1):
         a, b = dend.children(node)
-        d = ht.details[dend.rank(node)]
+        d = ht.details[node - n]
         rows[a] = rows[node] + d
         rows[b] = rows[node] - d
     return rows
@@ -147,11 +151,8 @@ def approximation_chain(ht: HaarTransform, terminal: int):
     previous one and the last equals the row (error 0).  Returns a list
     of (partial sum, Euclidean error) pairs.
     """
-    partials = [ht.smooth.copy()]
-    for node in reversed(ht.dend.path_to_root(terminal)):
-        partials.append(partials[-1] + ht.sign(node, terminal) * ht.details[ht.dend.rank(node)])
-    errors = _row_norms(np.array(partials) - partials[-1])
-    return list(zip(partials, errors.tolist()))
+    rows = _path_rows(ht, terminal)
+    return list(zip(rows, _row_norms(rows - rows[-1]).tolist()))
 
 
 def threshold_regress(ht: HaarTransform, tau: float, per_coordinate: bool = False) -> HaarTransform:
@@ -162,12 +163,6 @@ def threshold_regress(ht: HaarTransform, tau: float, per_coordinate: bool = Fals
     """
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
-    if per_coordinate:
-        details = {r: np.where(np.abs(d) < tau, 0.0, d) for r, d in ht.details.items()}
-    else:
-        vectors = np.array(list(ht.details.values())).reshape(len(ht.details), ht.m)
-        small = (_row_norms(vectors) < tau).tolist()
-        details = {
-            r: np.zeros_like(d) if zero else d for (r, d), zero in zip(ht.details.items(), small)
-        }
-    return replace(ht, details=details)
+    d = ht.details
+    small = np.abs(d) < tau if per_coordinate else (_row_norms(d) < tau)[:, None]
+    return replace(ht, details=np.where(small, 0.0, d))

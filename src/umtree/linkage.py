@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dendrogram import Dendrogram, DistanceMatrix
+from .dendrogram import Dendrogram, _as_matrix
 
 __all__ = [
     "MergeCriterion",
@@ -121,7 +121,7 @@ class _Clusters:
     """
 
     def __init__(self, m, crit):
-        d = m.values if isinstance(m, DistanceMatrix) else DistanceMatrix(np.asarray(m, float)).values
+        d = _as_matrix(m)
         self.n = n = d.shape[0]
         if n < 2:
             raise ValueError("need at least 2 observations")

@@ -13,17 +13,17 @@ from . import datasets, genlattice, haar, linkage, padic
 from .dissim import euclidean_matrix, setvalued_table
 
 # Reference Haar coefficients for the iris8 / median pipeline.
-# Columns: attribute; rows keyed by component.
+# Columns: attribute; row k is the detail of the rank-(k+1) merge.
 IRIS8_SMOOTH = np.array([5.146875, 3.603125, 1.5625, 0.30625])
-IRIS8_DETAILS = {
-    7: np.array([0.253125, 0.296875, 0.1375, 0.09375]),
-    6: np.array([0.13125, 0.16875, 0.025, -0.0125]),
-    5: np.array([0.1375, -0.1375, 0.0, -0.025]),
-    4: np.array([-0.025, 0.125, 0.0, 0.05]),
-    3: np.array([0.05, 0.05, -0.10, 0.0]),
-    2: np.array([-0.025, -0.075, 0.05, 0.0]),
-    1: np.array([0.05, -0.05, 0.0, 0.0]),
-}
+IRIS8_DETAILS = np.array([
+    [0.05, -0.05, 0.0, 0.0],
+    [-0.025, -0.075, 0.05, 0.0],
+    [0.05, 0.05, -0.10, 0.0],
+    [-0.025, 0.125, 0.0, 0.05],
+    [0.1375, -0.1375, 0.0, -0.025],
+    [0.13125, 0.16875, 0.025, -0.0125],
+    [0.253125, 0.296875, 0.1375, 0.09375],
+])
 
 # Reference p-adic codes on the 8-terminal ranked demo tree (0-based
 # terminal ids, rank -> coefficient).
@@ -89,14 +89,8 @@ def run_selftest():
         "iris8 haar smooth vector",
         np.allclose(ht.smooth, IRIS8_SMOOTH, atol=1e-9),
     )
-    signed_ok = all(
-        np.allclose(ht.details[r], IRIS8_DETAILS[r], atol=1e-9)
-        for r in range(1, 8)
-    )
-    abs_ok = all(
-        np.allclose(np.abs(ht.details[r]), np.abs(IRIS8_DETAILS[r]), atol=1e-9)
-        for r in range(1, 8)
-    )
+    signed_ok = np.allclose(ht.details, IRIS8_DETAILS, atol=1e-9)
+    abs_ok = np.allclose(np.abs(ht.details), np.abs(IRIS8_DETAILS), atol=1e-9)
     check(
         "iris8 haar detail vectors",
         abs_ok,
@@ -115,7 +109,7 @@ def run_selftest():
     )
     check(
         "iris8 root-adjacent row equals smooth plus top detail",
-        np.allclose(data.values[root_leaf], ht.smooth + ht.details[7], atol=1e-9),
+        np.allclose(data.values[root_leaf], ht.smooth + ht.details[-1], atol=1e-9),
         f"row {root_leaf + 1}",
     )
 

@@ -50,10 +50,10 @@ class TestCriterion1TableReproduction:
         np.testing.assert_allclose(ht.smooth, IRIS8_SMOOTH, atol=1e-6)
         for r in range(1, 8):
             np.testing.assert_allclose(
-                np.abs(ht.details[r]), np.abs(IRIS8_DETAILS[r]), atol=1e-6
+                np.abs(ht.details[r - 1]), np.abs(IRIS8_DETAILS[r - 1]), atol=1e-6
             )
             # the documented child-order convention also reproduces signs
-            np.testing.assert_allclose(ht.details[r], IRIS8_DETAILS[r], atol=1e-6)
+            np.testing.assert_allclose(ht.details[r - 1], IRIS8_DETAILS[r - 1], atol=1e-6)
         # runtime: best of 5 repeats
         times = []
         for _ in range(5):
@@ -95,18 +95,18 @@ class TestCriterion3ApproximationChains:
             t for t in range(8) if dend.path_to_root(t) == [dend.root]
         )
         np.testing.assert_allclose(
-            reconstruct_one(ht, root_leaf), ht.smooth + ht.details[7], atol=1e-12
+            reconstruct_one(ht, root_leaf), ht.smooth + ht.details[6], atol=1e-12
         )
         np.testing.assert_allclose(
-            data.values[root_leaf], ht.smooth + ht.details[7], atol=1e-9
+            data.values[root_leaf], ht.smooth + ht.details[6], atol=1e-9
         )
         # rows 1 and 8 decompose over their actual root paths, error 0
         d = ht.details
         np.testing.assert_allclose(
-            data.values[0], ht.smooth - d[7] + d[6] - d[2] + d[1], atol=1e-9
+            data.values[0], ht.smooth - d[6] + d[5] - d[1] + d[0], atol=1e-9
         )
         np.testing.assert_allclose(
-            data.values[7], ht.smooth - d[7] + d[6] + d[2], atol=1e-9
+            data.values[7], ht.smooth - d[6] + d[5] + d[1], atol=1e-9
         )
         for t in range(8):
             assert approximation_chain(ht, t)[-1][1] == pytest.approx(0.0, abs=1e-9)
@@ -125,10 +125,10 @@ class TestCriterion3ApproximationChains:
         data, _, ht = iris_pipeline()
         d = ht.details
         ok_x1 = np.allclose(
-            data.values[0], d[2] + d[5] + d[7] + ht.smooth, atol=1e-9
+            data.values[0], d[1] + d[4] + d[6] + ht.smooth, atol=1e-9
         )
         ok_x8 = np.allclose(
-            data.values[7], d[6] - d[7] + ht.smooth, atol=1e-9
+            data.values[7], d[5] - d[6] + ht.smooth, atol=1e-9
         )
         assert ok_x1 and ok_x8
 
@@ -244,7 +244,7 @@ class TestCriterion8SymmetryProperties:
             for node in range(n, dend.n_nodes):
                 r = dend.rank(node)
                 factor = -1.0 if perm[node] else 1.0
-                np.testing.assert_allclose(ht2.details[r], factor * ht.details[r])
+                np.testing.assert_allclose(ht2.details[r - 1], factor * ht.details[r - 1])
             canon, _ = canonicalize(swapped)
             again, residual = canonicalize(canon)
             assert again == canon

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from umtree import (
     Dendrogram,
+    HaarTransform,
     approximation_chain,
     euclidean_matrix,
     forward,
@@ -32,20 +35,20 @@ class TestForward:
         _, _, ht = iris_transform()
         np.testing.assert_allclose(ht.smooth, IRIS8_SMOOTH, atol=1e-9)
         for r in range(1, 8):
-            np.testing.assert_allclose(ht.details[r], IRIS8_DETAILS[r], atol=1e-9)
+            np.testing.assert_allclose(ht.details[r - 1], IRIS8_DETAILS[r - 1], atol=1e-9)
 
     def test_two_terminals(self):
         d = Dendrogram(2, ((0, 1, 1.0),))
         u, v = np.array([1.0, 3.0]), np.array([5.0, 1.0])
         ht = forward(d, np.vstack([u, v]))
         np.testing.assert_allclose(ht.smooth, (u + v) / 2)
-        np.testing.assert_allclose(ht.details[1], (u - v) / 2)
+        np.testing.assert_allclose(ht.details[0], (u - v) / 2)
 
     def test_constant_data(self, rng):
         d = random_dendrogram(rng, 10)
         ht = forward(d, np.tile([2.5, -1.0], (10, 1)))
         np.testing.assert_allclose(ht.smooth, [2.5, -1.0])
-        for v in ht.details.values():
+        for v in ht.details:
             np.testing.assert_allclose(v, 0.0)
 
     def test_dimension_mismatch(self, rng):
@@ -70,9 +73,24 @@ class TestForward:
         s01, d01 = (1 + 5) / 2, (1 - 5) / 2
         s23, d23 = (2 + 8) / 2, (2 - 8) / 2
         assert ht.smooth[0] == pytest.approx((s01 + s23) / 2)
-        assert ht.details[1][0] == pytest.approx(d01)
-        assert ht.details[2][0] == pytest.approx(d23)
-        assert ht.details[3][0] == pytest.approx((s01 - s23) / 2)
+        assert ht.details[0][0] == pytest.approx(d01)
+        assert ht.details[1][0] == pytest.approx(d23)
+        assert ht.details[2][0] == pytest.approx((s01 - s23) / 2)
+
+
+class TestDetailShape:
+    def test_details_one_row_per_merge(self, rng):
+        d = random_dendrogram(rng, 6)
+        ht = forward(d, random_points(rng, 6, 3))
+        assert ht.details.shape == (5, 3)
+        assert forward(Dendrogram(1, ()), np.ones((1, 3))).details.shape == (0, 3)
+
+    @pytest.mark.parametrize("shape", [(6, 3), (5, 4), (15,), (5,)])
+    def test_wrong_shape_rejected(self, rng, shape):
+        d = random_dendrogram(rng, 6)
+        # (n, m), (n-1, m+1) and 1-d details, one of them with n-1 entries
+        with pytest.raises(ValueError, match=re.escape(f"details of shape {shape}, expected (5, 3)")):
+            HaarTransform(d, np.zeros(3), np.zeros(shape))
 
 
 class TestInverse:
@@ -87,15 +105,15 @@ class TestInverse:
         data, dend, ht = iris_transform()
         leaf = next(t for t in range(8) if dend.path_to_root(t) == [dend.root])
         np.testing.assert_allclose(
-            data.values[leaf], ht.smooth + ht.details[7], atol=1e-12
+            data.values[leaf], ht.smooth + ht.details[6], atol=1e-12
         )
 
     def test_full_path_identity(self):
         # first iris row decomposes over its path ranks {1, 2, 6, 7}
         data, dend, ht = iris_transform()
         expected = (
-            ht.smooth - ht.details[7] + ht.details[6]
-            - ht.details[2] + ht.details[1]
+            ht.smooth - ht.details[6] + ht.details[5]
+            - ht.details[1] + ht.details[0]
         )
         np.testing.assert_allclose(data.values[0], expected, atol=1e-12)
 
@@ -103,7 +121,7 @@ class TestInverse:
 class TestReconstructOne:
     def test_last_iris_row(self):
         data, dend, ht = iris_transform()
-        expected = ht.smooth - ht.details[7] + ht.details[6] + ht.details[2]
+        expected = ht.smooth - ht.details[6] + ht.details[5] + ht.details[1]
         np.testing.assert_allclose(reconstruct_one(ht, 7), expected, atol=1e-12)
         np.testing.assert_allclose(reconstruct_one(ht, 7), data.values[7], atol=1e-12)
 
@@ -144,7 +162,7 @@ class TestApproximationChain:
             chain = approximation_chain(ht, t)
             partial = ht.smooth.copy()
             for (vec, _), node in zip(chain[1:], path):
-                partial = partial + ht.sign(node, t) * ht.details[d.rank(node)]
+                partial = partial + ht.sign(node, t) * ht.details[d.rank(node) - 1]
                 np.testing.assert_allclose(vec, partial)
 
     def test_constant_data_all_zero_error(self, rng):
@@ -159,7 +177,7 @@ class TestThresholdRegress:
         _, _, ht = iris_transform()
         out = threshold_regress(ht, 0.0)
         for r in range(1, 8):
-            np.testing.assert_array_equal(out.details[r], ht.details[r])
+            np.testing.assert_array_equal(out.details[r - 1], ht.details[r - 1])
 
     def test_tau_infinite_smooths_everything(self):
         data, _, ht = iris_transform()
@@ -171,23 +189,23 @@ class TestThresholdRegress:
         _, _, ht = iris_transform()
         out = threshold_regress(ht, 0.1)
         for r in (1, 2):
-            np.testing.assert_array_equal(out.details[r], 0.0)
+            np.testing.assert_array_equal(out.details[r - 1], 0.0)
         for r in (3, 4, 5, 6, 7):
-            assert np.linalg.norm(out.details[r]) >= 0.1
-            np.testing.assert_array_equal(out.details[r], ht.details[r])
+            assert np.linalg.norm(out.details[r - 1]) >= 0.1
+            np.testing.assert_array_equal(out.details[r - 1], ht.details[r - 1])
 
     def test_idempotent(self):
         _, _, ht = iris_transform()
         once = threshold_regress(ht, 0.1)
         twice = threshold_regress(once, 0.1)
         for r in range(1, 8):
-            np.testing.assert_array_equal(once.details[r], twice.details[r])
+            np.testing.assert_array_equal(once.details[r - 1], twice.details[r - 1])
 
     def test_per_coordinate_mode(self):
         _, _, ht = iris_transform()
         out = threshold_regress(ht, 0.06, per_coordinate=True)
-        expected = np.where(np.abs(ht.details[3]) < 0.06, 0.0, ht.details[3])
-        np.testing.assert_array_equal(out.details[3], expected)
+        expected = np.where(np.abs(ht.details[2]) < 0.06, 0.0, ht.details[2])
+        np.testing.assert_array_equal(out.details[2], expected)
 
     def test_negative_tau_rejected(self):
         _, _, ht = iris_transform()
@@ -205,7 +223,7 @@ class TestApplyToSignal:
         d = random_dendrogram(rng, 7)
         ht = forward(d, np.zeros((7, 3)))
         np.testing.assert_array_equal(ht.smooth, 0.0)
-        for v in ht.details.values():
+        for v in ht.details:
             np.testing.assert_array_equal(v, 0.0)
 
     def test_round_trips_external_signal(self, rng):

@@ -79,7 +79,7 @@ class TestInvariance:
                 r = d.rank(node)
                 factor = -1.0 if perm[node] else 1.0
                 np.testing.assert_allclose(
-                    ht2.details[r], factor * ht.details[r], atol=1e-12
+                    ht2.details[r - 1], factor * ht.details[r - 1], atol=1e-12
                 )
 
     def test_padic_sign_flip(self, rng):

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from umtree import (
@@ -25,6 +25,7 @@ from umtree import (
     encode,
     forward,
     inverse,
+    reconstruct_one,
     threshold_regress,
     verify_metric,
     verify_ultrametric,
@@ -69,7 +70,7 @@ class OracleTree:
 def oracle_reconstruct_one(ht, tree, t):
     row = ht.smooth.copy()
     for node in reversed(tree.path_to_root(t)):
-        row += tree.sign(node, t) * ht.details[node - tree.n + 1]
+        row += tree.sign(node, t) * ht.details[node - tree.n]
     return row
 
 
@@ -84,15 +85,29 @@ def oracle_chain(ht, t):
     partial = ht.smooth.copy()
     chain = [(partial.copy(), float(np.linalg.norm(partial - target)))]
     for node in reversed(tree.path_to_root(t)):
-        partial = partial + tree.sign(node, t) * ht.details[node - tree.n + 1]
+        partial = partial + tree.sign(node, t) * ht.details[node - tree.n]
         chain.append((partial.copy(), float(np.linalg.norm(partial - target))))
     return chain
 
 
+def oracle_forward(dend, x):
+    """Smooth and {rank: detail} from smooths kept in a dict by node."""
+    smooths = {t: x[t] for t in range(dend.n_terminals)}
+    details = {}
+    for r, (a, b, _) in enumerate(dend.merges, start=1):
+        s = 0.5 * (smooths[a] + smooths[b])
+        details[r] = s - smooths[b]
+        smooths[dend.n_terminals - 1 + r] = s
+    return smooths[dend.root], details
+
+
 def oracle_threshold_regress(ht, tau):
-    return {
-        r: np.zeros_like(d) if np.linalg.norm(d) < tau else d for r, d in ht.details.items()
-    }
+    rows = [np.zeros_like(d) if np.linalg.norm(d) < tau else d for d in ht.details]
+    return np.array(rows).reshape(ht.details.shape)
+
+
+def oracle_threshold_entries(ht, tau):
+    return np.array([np.where(np.abs(d) < tau, 0.0, d) for d in ht.details]).reshape(ht.details.shape)
 
 
 def oracle_code(tree, t):
@@ -234,6 +249,55 @@ def test_inverse_equals_per_terminal_sums(case):
     np.testing.assert_array_equal(inverse(ht), oracle_inverse(ht))
 
 
+def assert_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SMALL_TREES = [
+    (Dendrogram(1, ()), np.array([[1.5, -2.0]])),
+    (Dendrogram(2, ((1, 0, 0.5),)), np.array([[1.0, 3.0, 0.1], [5.0, 1.0, 0.7]])),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_data())
+@example(SMALL_TREES[0])
+@example(SMALL_TREES[1])
+def test_forward_equals_dict_of_details(case):
+    dend, x = case
+    ht = forward(dend, x)
+    smooth, details = oracle_forward(dend, x)
+    assert_bits(ht.smooth, smooth)
+    assert ht.details.shape == (dend.n_terminals - 1, x.shape[1])
+    for r in details:
+        assert_bits(ht.details[r - 1], details[r])
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_data())
+@example(SMALL_TREES[0])
+@example(SMALL_TREES[1])
+def test_reconstruct_one_is_chain_end_and_inverse_row(case):
+    dend, x = case
+    ht = forward(dend, x)
+    rows = inverse(ht)
+    for t in range(dend.n_terminals):
+        row = reconstruct_one(ht, t)
+        assert_bits(row, approximation_chain(ht, t)[-1][0])
+        assert_bits(row, rows[t])
+
+
+@settings(max_examples=100, deadline=None)
+@given(dendrograms())
+def test_path_to_root_equals_parent_walk(dend):
+    tree = OracleTree(dend)
+    for t in range(dend.n_terminals):
+        path = dend.path_to_root(t)
+        assert path == tree.path_to_root(t)
+        assert all(type(node) is int for node in path)
+
+
 @settings(max_examples=60, deadline=None)
 @given(tree_data())
 def test_approximation_chain_equals_per_terminal_walk(case):
@@ -252,11 +316,22 @@ def test_threshold_regress_equals_per_detail_norms(case):
     dend, x = case
     ht = forward(dend, x)
     # a tau at a detail's own norm keeps that detail: the test is norm < tau
-    for tau in [0.0, np.inf, *(float(np.linalg.norm(d)) for d in ht.details.values())]:
+    for tau in [0.0, np.inf, *(float(np.linalg.norm(d)) for d in ht.details)]:
         got, want = threshold_regress(ht, tau).details, oracle_threshold_regress(ht, tau)
-        assert got.keys() == want.keys()
-        for r in want:
-            np.testing.assert_array_equal(got[r], want[r])
+        assert got.shape == want.shape
+        for r in range(1, dend.n_terminals):
+            np.testing.assert_array_equal(got[r - 1], want[r - 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_data())
+def test_per_coordinate_threshold_equals_per_detail_where(case):
+    dend, x = case
+    ht = forward(dend, x)
+    # a tau at an entry's own magnitude keeps that entry
+    for tau in [0.0, np.inf, *np.abs(ht.details).ravel().tolist()]:
+        got = threshold_regress(ht, tau, per_coordinate=True).details
+        assert_bits(got, oracle_threshold_entries(ht, tau))
 
 
 @settings(max_examples=100, deadline=None)

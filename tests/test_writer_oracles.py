@@ -72,14 +72,14 @@ def oracle_forward(ht, table):
         "smooth": [float(v) for v in ht.smooth],
         "details": {
             str(n - 1 + r): {"vector": [float(v) for v in d], "level": r}
-            for r, d in sorted(ht.details.items())
+            for r, d in enumerate(ht.details, start=1)
         },
     }
     cols = [f"s{n - 1}"] + [f"d{r}" for r in range(n - 1, 0, -1)]
     lines = ["," + ",".join(cols)]
     attrs = table.col_labels or [f"c{j}" for j in range(ht.m)]
     for j, attr in enumerate(attrs):
-        vals = [ht.smooth[j]] + [ht.details[r][j] for r in range(n - 1, 0, -1)]
+        vals = [ht.smooth[j]] + [ht.details[r - 1][j] for r in range(n - 1, 0, -1)]
         lines.append(attr + "," + ",".join(_fmt(v) for v in vals))
     return json.dumps(coeffs, indent=2), "\n".join(lines) + "\n"
 
