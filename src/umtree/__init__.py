@@ -21,7 +21,6 @@ from .dissim import (
     euclidean_matrix,
     load_csv,
     setvalued_table,
-    simple_matching_setvalued,
 )
 from .genlattice import (
     Semilattice,
@@ -71,7 +70,6 @@ __all__ = [
     "verify_metric",
     "verify_ultrametric",
     "euclidean_matrix",
-    "simple_matching_setvalued",
     "setvalued_table",
     "load_csv",
     "naive_cluster",

@@ -4,14 +4,16 @@ simple-matching dissimilarity on boolean attribute tables.
 The set-valued rule scores each attribute position of a pair of rows:
 0 when both rows have the attribute present (1), and 1 otherwise --
 so co-absence counts toward the distance set.  The distance between two
-objects is then the *set* of attributes scored 1.
+objects is then the *set* of attributes scored 1: d(i, j) = ~(w_i & w_j),
+with w_i the attribute mask of row i.  The row masks (the table's formal
+context) therefore hold every distance, and are all a table stores.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,7 +23,6 @@ from .dendrogram import DistanceMatrix
 __all__ = [
     "Table",
     "euclidean_matrix",
-    "simple_matching_setvalued",
     "setvalued_table",
     "SetValuedDistanceTable",
     "load_csv",
@@ -122,7 +123,9 @@ def load_csv(text_or_path, columns=None) -> Table:
 
 def euclidean_matrix(data) -> DistanceMatrix:
     """Pairwise Euclidean distance matrix of the table rows."""
-    x = data.values if isinstance(data, Table) else np.asarray(data, float)
+    # C order makes x @ x.T one BLAS triangle mirrored, so d comes out
+    # exactly symmetric; a strided view would take a general product
+    x = np.ascontiguousarray(data.values if isinstance(data, Table) else data, dtype=float)
     sq = np.sum(x**2, axis=1)
     # sq_i + sq_j - 2 x_i.x_j in place, in that order: the bits of the
     # plain expression with one n x n temporary instead of three
@@ -134,7 +137,6 @@ def euclidean_matrix(data) -> DistanceMatrix:
     np.maximum(d, 0.0, out=d)
     np.sqrt(d, out=d)
     np.fill_diagonal(d, 0.0)
-    d = np.minimum(d, d.T)  # frees the unsymmetrised copy before validation
     return DistanceMatrix(d)
 
 
@@ -156,79 +158,66 @@ def from_mask(mask: int) -> tuple:
     return tuple(out)
 
 
-def row_masks(x: np.ndarray) -> np.ndarray:
+def row_masks(x: np.ndarray) -> tuple:
     """Each row of a boolean matrix as an int bitmask (bit j = column j).
 
-    Python ints in an object array, so any number of columns fits.
+    Python ints, so any number of columns fits.
     """
     packed = np.packbits(np.asarray(x, dtype=bool), axis=1, bitorder="little")
-    return np.array([int.from_bytes(r.tobytes(), "little") for r in packed], dtype=object)
+    return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
 
 
 @dataclass(frozen=True)
 class SetValuedDistanceTable:
-    """Map from unordered object pairs to subsets of the attribute set J.
+    """The set-valued distances of a boolean table, held as its formal
+    context: rows[i] is row i's attribute mask w_i, and objects i != j
+    are at distance ~(w_i & w_j), within the n_attributes bits.
 
-    The distances are stored once, as int bitmasks: masks lists each
-    distinct distance set once, and codes[k] is the index in masks of
-    the k-th pair in lexicographic order.
+    The per-pair form is a view, built on first use and only for the
+    readers that list pairs (dist, and genlattice.pairs_for_node).
     """
 
-    n: int
     n_attributes: int
-    masks: tuple
-    codes: np.ndarray
+    rows: tuple
     object_labels: tuple = None
     attribute_labels: tuple = None
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    @cached_property
+    def _pair_codes(self) -> tuple:
+        """(masks, codes): each distinct pair distance once, as an int
+        bitmask, and per pair in lexicographic order its index in masks."""
+        full = (1 << self.n_attributes) - 1
+        w = np.array(self.rows, dtype=object)
+        i, j = np.triu_indices(self.n, 1)
+        index = {}  # distinct masks in first-seen order
+        codes = [index.setdefault(d, len(index)) for d in (full & ~(w[i] & w[j])).tolist()]
+        return tuple(index), np.array(codes, np.intp)
 
     @cached_property
     def dist(self) -> dict:
         """{(i, j): frozenset} for i < j; pairs with one distance share one set."""
-        sets = [frozenset(from_mask(mask)) for mask in self.masks]
-        return dict(zip(self.pairs(), [sets[c] for c in self.codes.tolist()]))
+        masks, codes = self._pair_codes
+        sets = [frozenset(from_mask(mask)) for mask in masks]
+        return dict(zip(self.pairs(), [sets[c] for c in codes.tolist()]))
 
     def __getitem__(self, ij) -> frozenset:
         i, j = ij
         return self.dist[(min(i, j), max(i, j))]
-
-    def __eq__(self, other):
-        # field by field, as the generated __eq__ cannot compare arrays
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
 
     def pairs(self):
         i, j = np.triu_indices(self.n, 1)
         return list(zip(i.tolist(), j.tolist()))
 
 
-def _bool_values(data) -> np.ndarray:
+def setvalued_table(data) -> SetValuedDistanceTable:
+    """The set-valued distance table of a boolean table: its rows packed
+    into attribute masks, bit j set iff the row has attribute j."""
     x = data.values if isinstance(data, Table) else np.asarray(data, float)
     if not np.isin(x, (0.0, 1.0)).all():
         raise ValueError("boolean table must contain only 0 and 1")
-    return x.astype(int)
-
-
-def simple_matching_setvalued(data, i: int, j: int) -> frozenset:
-    """Attributes NOT present in both rows: {j in J : not(x_ij and x_jj)}."""
-    x = _bool_values(data)
-    both = (x[i] == 1) & (x[j] == 1)
-    return frozenset(np.flatnonzero(~both).tolist())
-
-
-def setvalued_table(data) -> SetValuedDistanceTable:
-    """All pairwise set-valued distances (distinct pairs only).
-
-    Every pair's distance mask is full & ~(w_i & w_j), with w the rows'
-    attribute masks.
-    """
-    x = _bool_values(data)
-    n, m = x.shape
-    full = (1 << m) - 1
-    w = row_masks(x == 1)
-    i, j = np.triu_indices(n, 1)
-    index = {}  # distinct masks in first-seen order
-    codes = [index.setdefault(d, len(index)) for d in (full & ~(w[i] & w[j])).tolist()]
     labels = (data.row_labels, data.col_labels) if isinstance(data, Table) else (None, None)
-    return SetValuedDistanceTable(n, m, tuple(index), np.array(codes, np.intp), *labels)
+    return SetValuedDistanceTable(x.shape[1], row_masks(x == 1), *labels)

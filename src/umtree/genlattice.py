@@ -5,9 +5,17 @@ semilattice ordered by inclusion and leveled by cardinality.  Level
 clusters at level k are the maximal object sets whose internal pair
 distances all fit inside a single maximal lattice node of level <= k.
 
-Level clusters are concept extents: pair (i, j), at distance
-~(w_i & w_j) for row masks w, is linked within node v iff ~v <= w_i & w_j,
-so the pairs linked within v are all the pairs of the extent of ~v.
+Everything is read off the table's row masks w, objects i != j being at
+distance ~(w_i & w_j):
+
+- The distinct distances are ~(a & b) for two distinct rows a and b,
+  and ~a for a row that two objects share.
+- Level clusters are concept extents: pair (i, j) is linked within node
+  v iff ~v <= w_i & w_j, so the pairs linked within v are all the pairs
+  of the extent {i : w_i >= ~v}.
+- The strong triangle inequality d(x,z) <= d(x,y) | d(y,z) of a
+  generalized ultrametric holds on every table, as
+  ~(w_x & w_y) | ~(w_y & w_z) = ~(w_x & w_y & w_z) >= ~(w_x & w_z).
 
 Sets are handled as int bitmasks (see dissim.to_mask) and returned as
 frozensets.
@@ -15,6 +23,7 @@ frozensets.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -28,7 +37,6 @@ __all__ = [
     "build_lattice",
     "pairs_for_node",
     "clusters_at_level",
-    "triangle_violations",
 ]
 
 
@@ -54,11 +62,14 @@ class Semilattice:
     def __contains__(self, node) -> bool:
         return frozenset(node) in self._vertex_set
 
-    def join(self, a, b) -> frozenset:
-        u = frozenset(a) | frozenset(b)
-        if u not in self:
-            raise KeyError(f"{sorted(u)} not a lattice vertex")
-        return u
+
+def _distances(t: SetValuedDistanceTable) -> set:
+    """The distinct pair distances, from the distinct rows."""
+    full = (1 << t.n_attributes) - 1
+    count = Counter(t.rows)
+    found = {full & ~a for a, c in count.items() if c > 1}
+    found.update(full & ~(a & b) for a, b in combinations(count, 2))
+    return found
 
 
 def _union_closure(masks) -> list:
@@ -89,7 +100,7 @@ def _cover_edges(order) -> list:
 
 def build_lattice(t: SetValuedDistanceTable) -> Semilattice:
     """Union-closure of the observed distance sets, with cover edges."""
-    order = _union_closure(t.masks)
+    order = _union_closure(_distances(t))
     sets = {v: frozenset(from_mask(v)) for v in order}
     edges = tuple((sets[lo], sets[hi]) for lo, hi in _cover_edges(order))
     return Semilattice(tuple(sets.values()), edges)
@@ -98,14 +109,15 @@ def build_lattice(t: SetValuedDistanceTable) -> Semilattice:
 def pairs_for_node(t: SetValuedDistanceTable, node) -> list:
     """Pairs whose distance set equals the node exactly."""
     mask = to_mask(node)
-    inside = [m for m in t.masks if m & mask == m]
+    masks, codes = t._pair_codes
+    inside = [m for m in masks if m & mask == m]
     union = 0
     for m in inside:
         union |= m
     # a vertex is exactly the union of the observed sets it contains
     if not inside or union != mask:
         raise KeyError(f"{sorted(node)} is not a lattice vertex")
-    hit = np.array([m == mask for m in t.masks], dtype=bool)[t.codes]
+    hit = np.array([m == mask for m in masks], dtype=bool)[codes]
     i, j = np.triu_indices(t.n, 1)
     return list(zip(i[hit].tolist(), j[hit].tolist()))
 
@@ -114,43 +126,18 @@ def clusters_at_level(t: SetValuedDistanceTable, k: int) -> list:
     """Maximal object sets linked entirely within some maximal lattice
     node of level <= k; dominated sets (including singletons) removed.
 
-    Pair (i, j) is linked within v iff ~v <= w_i & w_j, so the linked
-    pairs are all the pairs of the extent of ~v: each maximal node gives
-    one cluster, the rows its linked pairs meet.  A per-pair table that
-    links only some pairs of those rows raises ValueError."""
+    Each maximal node v gives one cluster, the extent {i : w_i >= ~v}."""
     if not 0 <= k <= t.n_attributes:
         raise ValueError(f"level {k} out of range 0..{t.n_attributes}")
-    eligible = [v for v in _union_closure(t.masks) if v.bit_count() <= k]
+    eligible = [v for v in _union_closure(_distances(t)) if v.bit_count() <= k]
     maximal = [v for v in eligible if not any(v != w and v & w == v for w in eligible)]
-    i, j = np.triu_indices(t.n, 1)
+    full = (1 << t.n_attributes) - 1
     clusters = {1 << x for x in range(t.n)}
     for node in maximal:
-        linked = np.array([m & node == m for m in t.masks], dtype=bool)[t.codes]
-        met = np.zeros(t.n, dtype=bool)
-        met[i[linked]] = met[j[linked]] = True
-        r = met.sum()
-        if linked.sum() != r * (r - 1) // 2:
-            raise ValueError(
-                f"level {k}: node {list(from_mask(node))} links only some pairs of its rows"
-            )
-        clusters.add(to_mask(np.flatnonzero(met).tolist()))
+        need = full & ~node
+        clusters.add(to_mask(i for i, w in enumerate(t.rows) if w & need == need))
     keep = []
     for c in sorted(clusters, key=int.bit_count, reverse=True):
         if not any(c & d == c for d in keep):
             keep.append(c)
     return [frozenset(from_mask(c)) for c in sorted(keep, key=_mask_key)]
-
-
-def triangle_violations(t: SetValuedDistanceTable) -> list:
-    """Triples breaking the set-valued strong triangle inequality
-    d(x,z) <= d(x,y) | d(y,z); empty for simple-matching tables, as
-    ~(w_x & w_y) | ~(w_y & w_z) = ~(w_x & w_y & w_z) >= ~(w_x & w_z)."""
-    d = [[0] * t.n for _ in range(t.n)]
-    for (a, b), c in zip(t.pairs(), t.codes.tolist()):
-        d[a][b] = d[b][a] = t.masks[c]
-    out = []
-    for x, y, z in combinations(range(t.n), 3):
-        for a, b, c in ((x, z, y), (x, y, z), (y, z, x)):
-            if d[a][b] & ~(d[a][c] | d[c][b]):
-                out.append((a, c, b))
-    return out

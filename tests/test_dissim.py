@@ -10,10 +10,19 @@ from umtree import (
     euclidean_matrix,
     load_csv,
     setvalued_table,
-    simple_matching_setvalued,
     verify_metric,
 )
 from umtree.datasets import bool5, iris8
+
+
+def simple_matching_setvalued(data, i: int, j: int) -> frozenset:
+    """Attributes NOT present in both rows: {a in J : not(x_ia and x_ja)},
+    scored one attribute at a time; the oracle for setvalued_table."""
+    x = data.values if isinstance(data, Table) else np.asarray(data, float)
+    if not np.isin(x, (0.0, 1.0)).all():
+        raise ValueError("boolean table must contain only 0 and 1")
+    both = (x[i] == 1) & (x[j] == 1)
+    return frozenset(np.flatnonzero(~both).tolist())
 
 
 class TestEuclidean:
@@ -47,6 +56,14 @@ class TestEuclidean:
             np.fill_diagonal(d, 0.0)
             expected = np.minimum(d, d.T)
             assert euclidean_matrix(x).values.tobytes() == expected.tobytes()
+
+    def test_exactly_symmetric(self, rng):
+        # a column-strided view is copied to C order, whose Gram matrix
+        # BLAS computes as one triangle mirrored
+        x = rng.normal(size=(300, 140)) * 1e3 + 7
+        for view in (x, x[:, ::2], np.asfortranarray(x), x[::2]):
+            d = euclidean_matrix(view).values
+            assert np.array_equal(d, d.T)
 
     def test_one_temporary_matrix(self, rng):
         # result, gram matrix and DistanceMatrix's checks; 5.15 n^2 doubles
@@ -135,12 +152,13 @@ class TestSetValuedTable:
         y[3, 2] = 1.0  # d(a,e) loses v3
         assert t != setvalued_table(Table(y, rows, cols))
         # the same distinct sets, assigned to the pairs differently
-        u = SetValuedDistanceTable(3, 2, (1, 2), np.array([0, 1, 0]))
-        assert u != SetValuedDistanceTable(3, 2, (1, 2), np.array([0, 1, 1]))
+        u, v = SetValuedDistanceTable(2, (1, 2, 3)), SetValuedDistanceTable(2, (3, 2, 1))
+        assert set(u.dist.values()) == set(v.dist.values())
+        assert u != v
         assert t != "bool5"
 
     def test_no_per_pair_objects(self):
-        # 604 450 pairs of one distance: masks and codes only, no dict of pairs
+        # 604 450 pairs of one distance: row masks only, no per-pair form
         x = Table(np.ones((1100, 2)))
         tracemalloc.start()
         try:

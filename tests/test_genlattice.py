@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umtree import (
-    SetValuedDistanceTable,
     Table,
     build_lattice,
     clusters_at_level,
@@ -15,7 +15,7 @@ from umtree import (
 )
 from umtree.datasets import bool5
 from umtree.dissim import from_mask, row_masks
-from umtree.genlattice import _mask_key, _union_closure, triangle_violations
+from umtree.genlattice import _mask_key
 
 # object ids: a=0, b=1, c=2, e=3, f=4; attribute ids: v1=0, v2=1, v3=2
 
@@ -124,14 +124,6 @@ class TestClustersAtLevel:
         with pytest.raises(ValueError):
             clusters_at_level(table, 4)
 
-    def test_path_link_graph_rejected(self):
-        # pairs (0,1), (0,2), (1,2) at {}, {0}, {}: at level 0 the pairs
-        # linked within {} form the path 0-1-2, which no boolean table gives
-        t = SetValuedDistanceTable(3, 1, (0, 1), np.array([0, 1, 0]))
-        with pytest.raises(ValueError, match="level 0"):
-            clusters_at_level(t, 0)
-        assert clusters_at_level(t, 1) == [frozenset({0, 1, 2})]
-
     def test_monotone_in_level(self, rng):
         x = Table((rng.random((8, 4)) > 0.5).astype(float))
         t = setvalued_table(x)
@@ -149,27 +141,41 @@ class TestClustersAtLevel:
 
 class TestGeneralizedUltrametric:
     def test_bool5_triangle_property(self, table):
-        assert triangle_violations(table) == []
+        assert oracle_violations(table) == []
 
     def test_random_boolean_tables(self, rng):
         for _ in range(20):
             x = Table((rng.random((6, 5)) > 0.5).astype(float))
-            assert triangle_violations(setvalued_table(x)) == []
-
-    def test_violations_found(self):
-        # pairs (0,1), (0,2), (1,2) at {0}, {1}, {}
-        t = SetValuedDistanceTable(3, 2, (1, 2, 0), np.array([0, 1, 2]))
-        assert triangle_violations(t) == [(0, 1, 2), (0, 2, 1)]
+            assert oracle_violations(setvalued_table(x)) == []
 
 
 def test_consumers_build_no_dist(rng):
+    # the lattice and the clusters read the row masks only; listing the
+    # pairs of a node builds the pair codes, but no dict of pairs
     t = setvalued_table(Table((rng.random((7, 3)) > 0.4).astype(float)))
-    for v in build_lattice(t).vertices:
-        pairs_for_node(t, v)
+    lattice = build_lattice(t)
     for k in range(t.n_attributes + 1):
         clusters_at_level(t, k)
-    triangle_violations(t)
+    assert "_pair_codes" not in vars(t)
+    for v in lattice.vertices:
+        pairs_for_node(t, v)
+    assert "_pair_codes" in vars(t)
     assert "dist" not in vars(t)
+
+
+def test_pipeline_memory_is_linear_in_rows():
+    # 4.5 million pairs but at most 256 distinct rows: the lattice and
+    # the level-4 clusters come from the row masks, with no per-pair codes
+    x = Table((np.random.default_rng(5).random((3000, 8)) < 0.6).astype(float))
+    tracemalloc.start()
+    try:
+        t = setvalued_table(x)
+        build_lattice(t)
+        clusters_at_level(t, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # -- oracles on frozensets, by exhaustive search -----------------------------
@@ -236,22 +242,20 @@ def _maximal_cliques(adj) -> list:
     return cliques
 
 
-def oracle_clique_clusters(t, k):
+def oracle_clique_clusters(t, vertices, k):
     """The maximal cliques of each maximal node's link graph, dominated
-    ones removed: clusters_at_level as a general clique search.  Also
-    says whether every such graph is one clique plus isolated rows, the
-    case that clusters_at_level accepts."""
-    eligible = [v for v in _union_closure(t.masks) if v.bit_count() <= k]
-    maximal = [v for v in eligible if not any(v != w and v & w == v for w in eligible)]
-    i, j = np.triu_indices(t.n, 1)
-    cliques = set()
+    ones removed: clusters_at_level as a general clique search on the
+    pairs.  Also says whether every such graph is one clique plus
+    isolated rows, the case in which clusters are extents."""
+    eligible = [v for v in vertices if len(v) <= k]
+    maximal = [v for v in eligible if not any(v < w for w in eligible)]
+    cliques = {1 << x for x in range(t.n)}
     one_clique = True
-    # with no eligible node, 0 is not an observed set and links no pair
-    for node in maximal or [0]:
-        linked = np.array([m & node == m for m in t.masks], dtype=bool)[t.codes]
+    for node in maximal:
         adj = np.zeros((t.n, t.n), dtype=bool)
-        adj[i[linked], j[linked]] = True
-        found = _maximal_cliques(row_masks(adj | adj.T))
+        for (a, b), s in t.dist.items():
+            adj[a, b] = adj[b, a] = s <= node
+        found = _maximal_cliques(row_masks(adj))
         one_clique &= sum(c.bit_count() > 1 for c in found) <= 1
         cliques.update(found)
     keep = []
@@ -269,20 +273,6 @@ def oracle_violations(t):
             if not t[a, b] <= (t[a, c] | t[c, b]):
                 out.append((a, c, b))
     return out
-
-
-@st.composite
-def pair_distance_tables(draw):
-    """Tables built from arbitrary per-pair masks, which need not come
-    from a boolean table, so the triangle inequality can fail."""
-    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 4))
-    size = n * (n - 1) // 2
-    index = {}
-    codes = [
-        index.setdefault(d, len(index))
-        for d in draw(st.lists(st.integers(0, (1 << m) - 1), min_size=size, max_size=size))
-    ]
-    return SetValuedDistanceTable(n, m, tuple(index), np.array(codes, dtype=np.intp))
 
 
 def boolean_tables_up_to(n, m):
@@ -318,32 +308,18 @@ class TestAgainstOracles:
             assert clusters_at_level(t, k) == oracle_clusters(t, vertices, k)
 
 
-@settings(max_examples=200, deadline=None)
-@given(pair_distance_tables())
-def test_triangle_violations_against_oracle(t):
-    assert triangle_violations(t) == oracle_violations(t)
-
-
 @settings(max_examples=100, deadline=None)
 @given(boolean_tables_up_to(60, 7))
 def test_clusters_equal_clique_search(rows):
     t = setvalued_table(Table(np.array(rows, dtype=float)))
+    vertices, edges = oracle_lattice(t)
+    lattice = build_lattice(t)
+    assert lattice.vertices == vertices
+    assert lattice.edges == edges
     for k in range(t.n_attributes + 1):
-        want, one_clique = oracle_clique_clusters(t, k)
+        want, one_clique = oracle_clique_clusters(t, vertices, k)
         assert one_clique
         assert clusters_at_level(t, k) == want
-
-
-@settings(max_examples=200, deadline=None)
-@given(pair_distance_tables())
-def test_per_pair_clusters_equal_clique_search_or_raise(t):
-    for k in range(t.n_attributes + 1):
-        want, one_clique = oracle_clique_clusters(t, k)
-        if one_clique:
-            assert clusters_at_level(t, k) == want
-        else:
-            with pytest.raises(ValueError, match=f"level {k}:"):
-                clusters_at_level(t, k)
 
 
 @settings(max_examples=100, deadline=None)
