@@ -69,8 +69,13 @@ def _block(items, depth, brackets="[]") -> str:
     """
     if not items:
         return brackets
-    pad = "\n" + "  " * (depth + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+    # one join, so no partial copy of the text lives beside items and the result
+    sep = ",\n" + "  " * (depth + 1)
+    parts = [sep] * (2 * len(items) + 1)
+    parts[1::2] = items
+    parts[0] = brackets[0] + sep[1:]
+    parts[-1] = "\n" + "  " * depth + brackets[1]
+    return "".join(parts)
 
 
 def _csv_lines(rows) -> list:
@@ -220,20 +225,29 @@ def cmd_genum(args) -> int:
     level = args.level if args.level is not None else t.n_attributes
     clusters = genlattice.clusters_at_level(t, level)
     pairs = {v: genlattice.pairs_for_node(t, v) for v in lattice.vertices}
-    report = {
-        "vertices": [
-            {"set": sorted(attr[j] for j in v), "level": len(v)}
-            for v in lattice.vertices
-        ],
-        "edges": [[setname(a), setname(b)] for a, b in lattice.edges],
-        "pairs": {
-            setname(v): [[obj[i], obj[j]] for i, j in p] for v, p in pairs.items() if p
-        },
-        "clusters": {
-            str(level): [sorted(obj[i] for i in c) for c in clusters]
-        },
-    }
-    _write(args.out, json.dumps(report, indent=2))
+    # labels are sorted raw, then encoded: escapes would change the order
+    attr_text = [_key(a) for a in attr]
+    obj_text = [_key(o) for o in obj]
+    name_text = {v: _key(setname(v)) for v in lattice.vertices}
+    vertices = [
+        _block(['"set": ' + _block([attr_text[j] for j in sorted(v, key=attr.__getitem__)], 3),
+                f'"level": {len(v)}'], 2, "{}")
+        for v in lattice.vertices
+    ]
+    edges = [_block([name_text[a], name_text[b]], 2) for a, b in lattice.edges]
+    pad = ",\n" + "  " * 4  # each pair is _block([i, j], 3), written out for the O(n^2) pairs
+    listed = [
+        name_text[v] + ": " + _block(
+            [f"[{pad[1:]}{obj_text[i]}{pad}{obj_text[j]}\n      ]" for i, j in p], 2)
+        for v, p in pairs.items() if p
+    ]
+    groups = [_block([obj_text[i] for i in sorted(c, key=obj.__getitem__)], 3) for c in clusters]
+    _write(args.out, _block([
+        '"vertices": ' + _block(vertices, 1),
+        '"edges": ' + _block(edges, 1),
+        '"pairs": ' + _block(listed, 1, "{}"),
+        '"clusters": ' + _block([_key(str(level)) + ": " + _block(groups, 2)], 1, "{}"),
+    ], 0, "{}"))
     if args.text:
         lines = ["Lattice vertices found       Level", ""]
         for lev in range(t.n_attributes, 0, -1):

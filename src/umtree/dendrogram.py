@@ -38,16 +38,17 @@ def _row_blocks(n):
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric nonnegative matrix with zero diagonal."""
+    """Symmetric nonnegative matrix with zero diagonal.  Input symmetric
+    only within np.allclose is stored as np.minimum(v, v.T), a new array;
+    exactly symmetric float input is kept as it is, without a copy."""
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
         square = v.ndim == 2 and v.shape[0] == v.shape[1]
         finite = square or bool(np.isfinite(v).all())  # square: checked below
-        symmetric = nonneg = True
+        symmetric = nonneg = exact = True
         # one pass over blocks of rows, without n x n temporaries; symmetry
         # is np.allclose(v, v.T): |v_ij - v_ji| <= 1e-8 + 1e-5 |v_ji|
         for rows in _row_blocks(v.shape[0] if square else 0):
@@ -57,6 +58,7 @@ class DistanceMatrix:
             nonneg = nonneg and low >= 0
             with np.errstate(invalid="ignore"):  # inf - inf, as in np.allclose
                 diff = x - y
+            exact = exact and not diff.any()
             np.abs(diff, out=diff)
             tol = np.abs(y)
             tol *= 1e-5
@@ -72,6 +74,7 @@ class DistanceMatrix:
             raise ValueError("distances must be nonnegative")
         if np.abs(np.diag(v)).max(initial=0.0) != 0.0:
             raise ValueError("diagonal must be zero")
+        object.__setattr__(self, "values", v if exact else np.minimum(v, v.T))
 
     @property
     def n(self) -> int:

@@ -188,19 +188,19 @@ class SetValuedDistanceTable:
 
     @cached_property
     def _pair_codes(self) -> tuple:
-        """(masks, codes): each distinct pair distance once, as an int
-        bitmask, and per pair in lexicographic order its index in masks."""
+        """(masks, codes, i, j): each distinct pair distance once, as an int
+        bitmask, and per pair (i[k], j[k]) in lexicographic order its index in masks."""
         full = (1 << self.n_attributes) - 1
         w = np.array(self.rows, dtype=object)
         i, j = np.triu_indices(self.n, 1)
         index = {}  # distinct masks in first-seen order
         codes = [index.setdefault(d, len(index)) for d in (full & ~(w[i] & w[j])).tolist()]
-        return tuple(index), np.array(codes, np.intp)
+        return tuple(index), np.array(codes, np.intp), i, j
 
     @cached_property
     def dist(self) -> dict:
         """{(i, j): frozenset} for i < j; pairs with one distance share one set."""
-        masks, codes = self._pair_codes
+        masks, codes, _, _ = self._pair_codes
         sets = [frozenset(from_mask(mask)) for mask in masks]
         return dict(zip(self.pairs(), [sets[c] for c in codes.tolist()]))
 
@@ -209,7 +209,7 @@ class SetValuedDistanceTable:
         return self.dist[(min(i, j), max(i, j))]
 
     def pairs(self):
-        i, j = np.triu_indices(self.n, 1)
+        _, _, i, j = self._pair_codes
         return list(zip(i.tolist(), j.tolist()))
 
 

@@ -109,7 +109,7 @@ def build_lattice(t: SetValuedDistanceTable) -> Semilattice:
 def pairs_for_node(t: SetValuedDistanceTable, node) -> list:
     """Pairs whose distance set equals the node exactly."""
     mask = to_mask(node)
-    masks, codes = t._pair_codes
+    masks, codes, i, j = t._pair_codes
     inside = [m for m in masks if m & mask == m]
     union = 0
     for m in inside:
@@ -118,7 +118,6 @@ def pairs_for_node(t: SetValuedDistanceTable, node) -> list:
     if not inside or union != mask:
         raise KeyError(f"{sorted(node)} is not a lattice vertex")
     hit = np.array([m == mask for m in masks], dtype=bool)[codes]
-    i, j = np.triu_indices(t.n, 1)
     return list(zip(i[hit].tolist(), j[hit].tolist()))
 
 

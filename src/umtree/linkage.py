@@ -68,46 +68,38 @@ def _coerce(crit) -> MergeCriterion:
     return MergeCriterion(str(crit).lower())
 
 
-_CLAMPED = "median update went negative (non-Euclidean input); clamped"
-
-
 def lance_williams_update(d_ki, d_kj, d_ij, sizes, crit) -> float:
     """Dissimilarity from cluster k to the merge of i and j.
 
     sizes = (n_i, n_j, n_k).  For ward and median the three inputs are
-    squared distances and the result is a squared distance.
+    squared distances and the result is a squared distance.  A median
+    update can go negative on non-Euclidean input; it is clamped at 0
+    with a warning (the drivers merge the closest pair, so theirs cannot).
     """
     n_i, n_j, n_k = sizes if sizes is not None else (1, 1, 1)
-    row, clamped = _lw_row(
-        np.array([d_ki], float), np.array([d_kj], float), d_ij, n_k, n_i, n_j,
-        _coerce(crit),
-    )
-    if clamped:
-        warnings.warn(_CLAMPED)
-    return float(row[0])
+    crit = _coerce(crit)
+    out = float(_lw_row(np.float64(d_ki), np.float64(d_kj), d_ij, n_k, n_i, n_j, crit))
+    if crit is MergeCriterion.MEDIAN and out < 0:
+        warnings.warn("median update went negative (non-Euclidean input); clamped")
+        return 0.0
+    return out
 
 
 def _lw_row(d_i, d_j, d_ij, sizes_all, n_i, n_j, crit):
-    """Vectorized Lance-Williams update against all other clusters.
-
-    Returns the row and whether it was clamped: a median row can go
-    negative on non-Euclidean input and is clamped at 0; the caller warns.
-    """
+    """Vectorized Lance-Williams update against all other clusters."""
     if crit is MergeCriterion.SINGLE:
-        return np.minimum(d_i, d_j), False
+        return np.minimum(d_i, d_j)
     if crit is MergeCriterion.COMPLETE:
-        return np.maximum(d_i, d_j), False
+        return np.maximum(d_i, d_j)
     if crit is MergeCriterion.AVERAGE:
-        return (n_i * d_i + n_j * d_j) / (n_i + n_j), False
+        return (n_i * d_i + n_j * d_j) / (n_i + n_j)
     if crit is MergeCriterion.WARD:
         tot = n_i + n_j + sizes_all
-        return ((n_i + sizes_all) * d_i + (n_j + sizes_all) * d_j - sizes_all * d_ij) / tot, False
-    # median (Gower): midpoint of the two centroids
-    row = 0.5 * d_i + 0.5 * d_j - 0.25 * d_ij
-    clamped = bool((row < 0).any())
-    if clamped:
-        np.maximum(row, 0.0, out=row)
-    return row, clamped
+        return ((n_i + sizes_all) * d_i + (n_j + sizes_all) * d_j - sizes_all * d_ij) / tot
+    # median (Gower): midpoint of the two centroids.  With (i, j) the
+    # closest pair, d_i, d_j >= d_ij, and rounding is monotone, so the
+    # row is never negative
+    return 0.5 * d_i + 0.5 * d_j - 0.25 * d_ij
 
 
 class _Clusters:
@@ -115,44 +107,36 @@ class _Clusters:
 
     Slot s holds cluster ids[s]: terminal t starts in slot t, and the
     k-th merge (k = 0, 1, ...) creates cluster n + k in the slot of its
-    first child.  The diagonal stays inf.  Rows and columns of retired
-    slots keep stale values, so every scan masks them with live.  clamps
-    counts the merges whose median row was clamped.
+    first child.  The diagonal and the rows and columns of retired slots
+    hold inf, and a retired slot holds the id 2n, so scans read d and ids
+    as they are: ids.argmin() is the smallest live id.
     """
 
     def __init__(self, m, crit):
-        d = _as_matrix(m)
+        d = _as_matrix(m)  # exactly symmetric
         self.n = n = d.shape[0]
         if n < 2:
             raise ValueError("need at least 2 observations")
-        # DistanceMatrix accepts symmetry within tolerance; the scans need it exact
-        self.d = np.minimum(d, d.T)
-        if crit.squared:
-            self.d **= 2
+        self.d = d**2 if crit.squared else d.copy()
         np.fill_diagonal(self.d, np.inf)
         self.crit = crit
         self.ids = np.arange(n)
-        self.sizes = np.ones(n, dtype=int)
-        self.live = np.ones(n, dtype=bool)
+        self.sizes = np.ones(n)
         self.raw = []
-        self.clamps = 0
 
     def merge(self, a, b):
         """Merge the clusters in slots a and b into slot a; retire slot b."""
-        d, live, sizes = self.d, self.live, self.sizes
+        d, sizes = self.d, self.sizes
         cost = float(d[a, b])
-        live[a] = live[b] = False
-        others = np.flatnonzero(live)
-        live[a] = True
-        row, clamped = _lw_row(
-            d[a, others], d[b, others], cost, sizes[others], sizes[a], sizes[b], self.crit,
-        )
-        self.clamps += clamped
-        d[a, others] = row
-        d[others, a] = row
+        # retired columns stay inf: each rule maps (inf, inf) to inf
+        row = _lw_row(d[a], d[b], cost, sizes, sizes[a], sizes[b], self.crit)
+        row[a] = row[b] = np.inf
+        d[a] = d[:, a] = row
+        d[b] = d[:, b] = np.inf
         sizes[a] += sizes[b]
         self.raw.append((int(self.ids[a]), int(self.ids[b]), cost))
         self.ids[a] = self.n + len(self.raw) - 1
+        self.ids[b] = 2 * self.n
 
 
 def _finish(n, raw_merges, crit, labels=None, reorder=False):
@@ -207,7 +191,7 @@ def naive_cluster(m, crit, labels=None) -> Dendrogram:
     """
     crit = _coerce(crit)
     c = _Clusters(m, crit)
-    d, ids, live = c.d, c.ids, c.live
+    d, ids = c.d, c.ids
     nn = d.argmin(axis=1)  # slots equal ids, so the first minimum is the smallest id
     dmin = d[np.arange(c.n), nn]
     for _ in range(c.n - 1):
@@ -216,15 +200,14 @@ def naive_cluster(m, crit, labels=None) -> Dendrogram:
         b = int(nn[a])
         c.merge(a, b)
         dmin[b] = np.inf
-        rows = np.flatnonzero(live & ((nn == a) | (nn == b)))  # a itself, as nn[a] == b
-        col = np.where(live, d[:, a], np.inf)
+        # live rows that pointed at a child; a itself, as nn[a] == b
+        rows = np.flatnonzero((dmin < np.inf) & ((nn == a) | (nn == b)))
+        col = d[a]  # column a, read as the equal row
         nn[col < dmin] = a
         np.minimum(dmin, col, out=dmin)
-        sub = np.where(live, d[rows], np.inf)
+        sub = d[rows]
         dmin[rows] = low = sub.min(axis=1)
         nn[rows] = np.where(sub == low[:, None], ids, 2 * c.n).argmin(axis=1)
-    if c.clamps:
-        warnings.warn(f"{_CLAMPED} in {c.clamps} merges")
     return _finish(c.n, c.raw, crit, labels, reorder=False)
 
 
@@ -236,13 +219,13 @@ def nn_chain_cluster(m, crit, labels=None) -> Dendrogram:
             f"criterion {crit.value!r} is not reducible; use naive_cluster"
         )
     c = _Clusters(m, crit)
-    d, ids, live = c.d, c.ids, c.live
+    d, ids = c.d, c.ids
     chain = []
     while len(c.raw) < c.n - 1:
         if not chain:
-            chain.append(int(np.where(live, ids, 2 * c.n).argmin()))  # smallest live id
+            chain.append(int(ids.argmin()))  # the smallest live id
         x = chain[-1]
-        row = np.where(live, d[x], np.inf)
+        row = d[x]
         hits = np.flatnonzero(row == row.min())
         y = int(hits[ids[hits].argmin()])  # the smallest id on ties
         if len(chain) >= 2 and y == chain[-2]:

@@ -284,6 +284,20 @@ class TestDistanceMatrix:
                         accepted = False
                     assert accepted == np.allclose(w, w.T), (y, delta, i, j)
 
+    def test_near_symmetric_stored_as_minimum(self):
+        v = self.metric(600, seed=1)
+        low = np.tril_indices(600, -1)
+        v[low] *= 1 + 1e-9 * np.random.default_rng(2).normal(size=len(low[0]))
+        before = v.copy()
+        got = DistanceMatrix(v).values
+        assert got.tobytes() == np.minimum(before, before.T).tobytes()
+        assert v.tobytes() == before.tobytes()  # the caller's array is not written
+
+    def test_exact_input_kept_without_copy(self):
+        v = self.metric(600)
+        assert v.flags.c_contiguous and v.dtype == np.float64
+        assert DistanceMatrix(v).values is v
+
 
 class TestValidationMemory:
     """Validation allocates no n x n temporaries."""

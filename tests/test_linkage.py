@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from umtree import linkage
 from umtree import (
     DistanceMatrix,
     MergeCriterion,
@@ -189,8 +188,8 @@ class TestNearSymmetric:
 class TestMedianClamps:
     # The naive driver merges the closest pair (i, j), so every other
     # cluster k has d_ki, d_kj >= d_ij and its median row is at least
-    # 0.75 d_ij: on valid input it never clamps.  Merging the farthest pair
-    # of a non-metric matrix instead drives rows negative.
+    # 0.75 d_ij: even on non-metric input it never clamps, and only the
+    # scalar lance_williams_update can.
 
     def test_closest_pair_never_clamps(self, rng):
         for _ in range(20):
@@ -198,37 +197,6 @@ class TestMedianClamps:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 naive_cluster(a + a.T, "median")
-
-    def test_one_summary_warning_per_run(self, monkeypatch):
-        class FarthestFirst(linkage._Clusters):
-            def merge(self, a, b):
-                s = np.flatnonzero(self.live)
-                block = self.d[np.ix_(s, s)]
-                np.fill_diagonal(block, -1.0)
-                i, j = divmod(int(block.argmax()), len(s))
-                super().merge(s[i], s[j])
-
-        clamped = []
-        lw_row = linkage._lw_row
-
-        def counting_lw_row(*args):
-            row, was_clamped = lw_row(*args)
-            clamped.append(was_clamped)
-            return row, was_clamped
-
-        monkeypatch.setattr(linkage, "_Clusters", FarthestFirst)
-        monkeypatch.setattr(linkage, "_lw_row", counting_lw_row)
-        d = np.full((6, 6), 3.0)
-        d[0, :] = d[:, 0] = 1.0  # a hub near everything: no triangle inequality
-        np.fill_diagonal(d, 0.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            naive_cluster(d, "median")
-        k = sum(clamped)
-        assert k > 1
-        assert len(caught) == 1
-        assert caught[0].category is UserWarning
-        assert f"clamped in {k} merges" in str(caught[0].message)
 
 
 class TestMemory:

@@ -1,10 +1,10 @@
 """The CLI writers against the dict-building code they replaced, kept here
 as the oracle.
 
-padic and wavelet (forward, chain, inverse) lay out their JSON from
-per-node text; every output must be the bytes json.dumps(obj, indent=2)
-gives for the old report dict, and every CSV the bytes of the old
-per-value loop.  Labels carry quotes, backslashes, control and non-ASCII
+padic, wavelet (forward, chain, inverse) and genum lay out their JSON
+from encoded pieces; every output must be the bytes json.dumps(obj,
+indent=2) gives for the old report dict, and every CSV the bytes of the
+old per-value loop.  Labels carry quotes, backslashes, control and non-ASCII
 characters; rows of +-1e308 overflow the smooths to Infinity and the
 chain errors to NaN.
 """
@@ -23,9 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_tree_oracles import dendrograms
 
-from umtree import Dendrogram, euclidean_matrix, haar, nn_chain_cluster, padic
-from umtree.cli import main
-from umtree.dissim import load_csv
+from umtree import Dendrogram, euclidean_matrix, genlattice, haar, nn_chain_cluster, padic
+from umtree.cli import _chain_json, main
+from umtree.dissim import load_csv, setvalued_table
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowed rows
 
@@ -82,6 +82,34 @@ def oracle_forward(ht, table):
         vals = [ht.smooth[j]] + [ht.details[r - 1][j] for r in range(n - 1, 0, -1)]
         lines.append(attr + "," + ",".join(_fmt(v) for v in vals))
     return json.dumps(coeffs, indent=2), "\n".join(lines) + "\n"
+
+
+def oracle_genum(table, level):
+    t = setvalued_table(table)
+    lattice = genlattice.build_lattice(t)
+    attr = table.col_labels or tuple(f"v{j + 1}" for j in range(t.n_attributes))
+    obj = table.row_labels or tuple(str(i) for i in range(t.n))
+
+    def setname(s):
+        return ",".join(attr[j] for j in sorted(s)) or "{}"
+
+    level = level if level is not None else t.n_attributes
+    clusters = genlattice.clusters_at_level(t, level)
+    pairs = {v: genlattice.pairs_for_node(t, v) for v in lattice.vertices}
+    report = {
+        "vertices": [
+            {"set": sorted(attr[j] for j in v), "level": len(v)}
+            for v in lattice.vertices
+        ],
+        "edges": [[setname(a), setname(b)] for a, b in lattice.edges],
+        "pairs": {
+            setname(v): [[obj[i], obj[j]] for i, j in p] for v, p in pairs.items() if p
+        },
+        "clusters": {
+            str(level): [sorted(obj[i] for i in c) for c in clusters]
+        },
+    }
+    return json.dumps(report, indent=2)
 
 
 def oracle_rows_csv(rows, table):
@@ -257,3 +285,58 @@ def test_padic_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 13_333_000
+
+
+# -- genum ------------------------------------------------------------------------
+
+
+@st.composite
+def boolean_tables(draw):
+    """A boolean table of 1 to 14 rows (1 and 2 rows list no pairs), with
+    or without row and column labels, and a level or none."""
+    n = draw(st.integers(1, 14))
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = (rng.random((n, m)) < draw(st.sampled_from([0.3, 0.6, 0.9]))).astype(int)
+    rows = draw(st.none() | st.lists(TEXT, min_size=n, max_size=n, unique=True))
+    cols = draw(st.lists(TEXT, min_size=m, max_size=m, unique=True))
+    level = draw(st.none() | st.integers(0, m))
+    return x, rows, cols, level
+
+
+@settings(max_examples=60, deadline=None)
+@given(boolean_tables())
+@example((np.array([[1, 0]]), ['"é'], ["a,b", "\\"], None))
+@example((np.array([[1, 1], [1, 0]]), None, ["€", 'a"'], 1))
+def test_genum_equals_json_dumps(case):
+    x, rows, cols, level = case
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(([""] if rows else []) + cols)
+    w.writerows(([rows[i]] if rows else []) + list(r) for i, r in enumerate(x.tolist()))
+    with tempfile.TemporaryDirectory() as d:
+        tmp = Path(d)
+        (tmp / "bool.csv").write_text(buf.getvalue(), encoding="utf-8")
+        argv = ["genum", "--input", str(tmp / "bool.csv"), "--out", str(tmp / "out")]
+        assert main(argv + (["--level", str(level)] if level is not None else [])) == 0
+        table = load_csv(tmp / "bool.csv")
+        assert (tmp / "out").read_text(encoding="utf-8") == oracle_genum(table, level)
+
+
+def test_chain_json_peak_memory():
+    """tracemalloc peak of _chain_json on a chained tree (an alternating
+    caterpillar of depth 199; a 3.26 MB report): the terminals' entries
+    and the result, 2.01 times the report.  Joining the report and then
+    wrapping it in brackets peaked at 3.01 times."""
+    n = 200
+    dend = caterpillar(n, True)
+    ht = haar.forward(dend, np.random.default_rng(n).normal(size=(n, 3)))
+    names = [str(t) for t in range(n)]
+    _chain_json(ht, names)  # encoder set-up outside the measurement
+    tracemalloc.start()
+    try:
+        text = _chain_json(ht, names)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * len(text)
