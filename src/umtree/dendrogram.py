@@ -114,7 +114,8 @@ class Dendrogram:
     Levels must be nonnegative and non-decreasing along containment;
     strictness can be checked separately (equal merge costs are common
     for tied input distances).  raw_levels optionally preserves levels
-    prior to monotonicity repair (median linkage can invert).
+    prior to monotonicity repair (median linkage can invert, and so can
+    rounding on tied data).
     """
 
     n_terminals: int
@@ -152,17 +153,13 @@ class Dendrogram:
                 if c in seen:
                     raise ValueError(f"child {c} used twice")
                 seen.add(c)
-            if a == b:
-                raise ValueError(f"merge {r}: children must differ")
-            if lev < 0:
-                raise ValueError(f"merge {r}: negative level")
+            if not 0 <= lev < np.inf:  # also NaN
+                raise ValueError(f"merge {r}: level {lev} is not finite and nonnegative")
             for c in (a, b):
                 if c >= n and merges[c - n][2] > lev + 1e-12:
                     raise ValueError(
                         f"merge {r}: level below child's (use monotone repair)"
                     )
-        if len(merges) and seen != set(range(2 * n - 2)):
-            raise ValueError("every node except the root must be a child once")
 
     # -- basic structure ---------------------------------------------------
 
@@ -290,21 +287,15 @@ class Dendrogram:
         )
 
     def to_newick(self) -> str:
-        """Newick text with branch lengths = level differences."""
-
-        def render(node: int, parent_level: float) -> str:
-            length = parent_level - self.level(node)
-            if self.is_terminal(node):
-                name = self.labels[node] if self.labels else str(node)
-                return f"{name}:{length:g}"
-            a, b = self.children(node)
-            lev = self.level(node)
-            return f"({render(a, lev)},{render(b, lev)}):{length:g}"
-
-        root = self.root
-        a, b = self.children(root)
-        lev = self.level(root)
-        return f"({render(a, lev)},{render(b, lev)});"
+        """Newick text with branch lengths = level differences, built
+        bottom-up in one pass over the merges."""
+        text = [f"{x}" for x in (self.labels or range(self.n_terminals))]
+        level = [0.0] * self.n_terminals
+        for a, b, lev in self.merges:
+            text.append(f"({text[a]}:{lev - level[a]:g},{text[b]}:{lev - level[b]:g})")
+            level.append(lev)
+            text[a] = text[b] = None  # each child's text is used once
+        return text[-1] + ";"
 
 
 # -- cophenetic distances --------------------------------------------------

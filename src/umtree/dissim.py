@@ -57,9 +57,6 @@ class Table:
     def m(self) -> int:
         return self.values.shape[1]
 
-    def is_boolean(self) -> bool:
-        return bool(np.isin(self.values, (0.0, 1.0)).all())
-
 
 def load_csv(text_or_path, columns=None) -> Table:
     """Read a CSV table: first row headers, first column row labels if

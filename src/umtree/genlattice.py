@@ -125,16 +125,17 @@ def clusters_at_level(t: SetValuedDistanceTable, k: int) -> list:
     """Maximal object sets linked entirely within some maximal lattice
     node of level <= k; dominated sets (including singletons) removed.
 
-    Each maximal node v gives one cluster, the extent {i : w_i >= ~v}."""
+    Each maximal node v gives one cluster, the extent {i : w_i >= ~v}.
+    Extents grow with the node (v <= w gives ~w <= ~v), so the maximal
+    extents of all nodes of level <= k are those of the maximal nodes."""
     if not 0 <= k <= t.n_attributes:
         raise ValueError(f"level {k} out of range 0..{t.n_attributes}")
-    eligible = [v for v in _union_closure(_distances(t)) if v.bit_count() <= k]
-    maximal = [v for v in eligible if not any(v != w and v & w == v for w in eligible)]
     full = (1 << t.n_attributes) - 1
     clusters = {1 << x for x in range(t.n)}
-    for node in maximal:
-        need = full & ~node
-        clusters.add(to_mask(i for i, w in enumerate(t.rows) if w & need == need))
+    for node in _union_closure(_distances(t)):
+        if node.bit_count() <= k:
+            need = full & ~node
+            clusters.add(to_mask(i for i, w in enumerate(t.rows) if w & need == need))
     keep = []
     for c in sorted(clusters, key=int.bit_count, reverse=True):
         if not any(c & d == c for d in keep):

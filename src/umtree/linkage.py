@@ -15,8 +15,10 @@ arithmetic is the Lance-Williams recurrence.  Ward and median operate
 on squared input distances and report merge levels as the square root
 of the merge cost, so levels stay commensurate with the input
 distances.  Median is not reducible and is rejected by the chain
-driver; it can also invert levels, which is repaired by propagating the
-running maximum (raw levels are kept on the dendrogram).
+driver.  One rule orders and levels every tree: a node's level is the
+largest merge level in its subtree, so a median inversion or a rounding
+inversion on tied data is repaired, and the raw levels are kept on the
+dendrogram when any differs.
 
 Determinism: ties break on cluster ids (terminals 0..n-1, then n, n+1,
 ... in the order the driver creates clusters), never on matrix slots.
@@ -30,6 +32,7 @@ child.
 
 from __future__ import annotations
 
+import math
 import warnings
 from enum import Enum
 
@@ -117,7 +120,12 @@ class _Clusters:
         self.n = n = d.shape[0]
         if n < 2:
             raise ValueError("need at least 2 observations")
-        self.d = d**2 if crit.squared else d.copy()
+        try:
+            with np.errstate(over="raise"):
+                self.d = d**2 if crit.squared else d.copy()
+        except FloatingPointError:
+            raise ValueError(f"{crit.value} linkage squares the distances, "
+                             "and a distance above 1.34e154 overflows float64") from None
         np.fill_diagonal(self.d, np.inf)
         self.crit = crit
         self.ids = np.arange(n)
@@ -139,33 +147,33 @@ class _Clusters:
         self.ids[b] = 2 * self.n
 
 
-def _finish(n, raw_merges, crit, labels=None, reorder=False):
-    """Renumber cluster ids and repair level inversions.
+def _finish(n, raw_merges, crit, labels=None):
+    """Number merges as dendrogram nodes and level them, by one rule.
 
-    reorder sorts merges by cost first: needed for NN-chain output (it
-    merges out of cost order) and safe there because reducibility keeps
-    every child's cost at or below its parent's.  The naive driver
-    already merges in cost order for reducible criteria, and for median
-    the creation order is the dendrogram order (costs may invert).
+    A merge's key is the largest raw cost in its subtree, read in one
+    pass in creation order (children are created first).  Merges become
+    nodes in (key, creation index) order, so every child precedes its
+    parent, and a node's level is its key, square-rooted for ward and
+    median.  The naive driver's keys never decrease in creation order,
+    so its merges keep their order; NN-chain merges out of cost order.
+    Raw levels are kept when any differs from its level: a median
+    inversion, or a child one ulp above its parent on tied data.
     """
-    if reorder:
-        order = sorted(range(len(raw_merges)), key=lambda k: (raw_merges[k][2], k))
-    else:
-        order = list(range(len(raw_merges)))
-    newid = {t: t for t in range(n)}
-    for pos, k in enumerate(order):
-        newid[n + k] = n + pos
+    keys = [0.0] * n
+    for a, b, cost in raw_merges:
+        keys.append(max(keys[a], keys[b], cost))
+    order = sorted(range(n, len(keys)), key=lambda k: (keys[k], k))
+    newid = list(range(len(keys)))
+    for node, k in enumerate(order, start=n):
+        newid[k] = node
+    scale = math.sqrt if crit.squared else float
     merges = []
     raw_levels = []
-    prev = 0.0
     for k in order:
-        a, b, cost = raw_merges[k]
-        a, b = sorted((newid[a], newid[b]))
-        level = float(np.sqrt(cost)) if crit.squared else float(cost)
-        raw_levels.append(level)
-        prev = max(prev, level)
-        merges.append((a, b, prev))
-    repaired = any(abs(r - m[2]) > 0 for r, m in zip(raw_levels, merges))
+        a, b, cost = raw_merges[k - n]
+        merges.append((*sorted((newid[a], newid[b])), scale(keys[k])))
+        raw_levels.append(scale(cost))
+    repaired = any(r != m[2] for r, m in zip(raw_levels, merges))
     return Dendrogram(
         n,
         tuple(merges),
@@ -208,7 +216,7 @@ def naive_cluster(m, crit, labels=None) -> Dendrogram:
         sub = d[rows]
         dmin[rows] = low = sub.min(axis=1)
         nn[rows] = np.where(sub == low[:, None], ids, 2 * c.n).argmin(axis=1)
-    return _finish(c.n, c.raw, crit, labels, reorder=False)
+    return _finish(c.n, c.raw, crit, labels)
 
 
 def nn_chain_cluster(m, crit, labels=None) -> Dendrogram:
@@ -234,4 +242,4 @@ def nn_chain_cluster(m, crit, labels=None) -> Dendrogram:
             c.merge(x, y)
         else:
             chain.append(y)
-    return _finish(c.n, c.raw, crit, labels, reorder=True)
+    return _finish(c.n, c.raw, crit, labels)

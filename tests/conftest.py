@@ -24,3 +24,19 @@ def random_points(rng, n, m, scale=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# Tied grids on which NN-chain merges a parent one ulp below its child's
+# cost (ward: 0.030000000000000006 under 0.03000000000000001), by criterion
+ROUNDING_INVERSIONS = {
+    "ward": 0.1 * np.array(
+        [[2, 1], [0, 2], [2, 1], [1, 1], [2, 2], [0, 0], [2, 2], [1, 2], [2, 2],
+         [0, 1], [0, 0], [2, 1], [0, 2], [0, 2], [2, 1], [1, 2], [2, 2], [1, 0],
+         [1, 2], [0, 0], [0, 1], [0, 1], [0, 2], [2, 2], [2, 0], [1, 2]]
+    ),
+    "average": 0.3 * np.array(
+        [[0, 1, 2], [0, 1, 0], [0, 2, 1], [0, 1, 2], [0, 0, 1], [2, 0, 1], [0, 2, 2],
+         [0, 1, 0], [0, 2, 2], [0, 1, 1], [0, 0, 0], [0, 0, 1], [2, 0, 1], [0, 1, 1],
+         [0, 1, 0], [0, 2, 0], [2, 1, 2], [1, 2, 1], [1, 0, 2], [2, 0, 1], [0, 2, 1]]
+    ),
+}

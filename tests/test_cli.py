@@ -11,6 +11,8 @@ import umtree
 from umtree.cli import main
 from umtree.datasets import bool5, iris8
 
+from conftest import ROUNDING_INVERSIONS
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -71,6 +73,37 @@ class TestCluster:
             "--out", str(out), "--newick", str(nwk),
         ])
         assert nwk.read_text().strip().endswith(";")
+
+    def test_newick_deep_caterpillar(self, tmp_path):
+        # single linkage chains these rows into a tree of depth n - 1
+        n = 1500
+        x = np.cumsum(np.arange(1, n + 1.0))
+        data = tmp_path / "chain.csv"
+        data.write_text(",a\n" + "".join(f"r{i},{v!r}\n" for i, v in enumerate(x.tolist())))
+        nwk = tmp_path / "d.nwk"
+        assert main([
+            "cluster", "--input", str(data), "--criterion", "single",
+            "--out", str(tmp_path / "d.json"), "--newick", str(nwk),
+        ]) == 0
+        text = nwk.read_text()
+        # a terminal has the smaller id, so it is the left child
+        assert text.startswith(f"(r{n - 1}:{n},(r{n - 2}:{n - 1},")
+        assert text.endswith("(r0:2,r1:2)" + ":1)" * (n - 2) + ";\n")
+
+    @pytest.mark.parametrize("crit", sorted(ROUNDING_INVERSIONS))
+    def test_rounding_inversion_grid(self, tmp_path, crit):
+        data = tmp_path / "grid.csv"
+        rows = ROUNDING_INVERSIONS[crit]
+        data.write_text(
+            "," + ",".join(f"c{j}" for j in range(rows.shape[1])) + "\n"
+            + "".join(f"r{i}," + ",".join(map(repr, row.tolist())) + "\n" for i, row in enumerate(rows))
+        )
+        out = tmp_path / "d.json"
+        assert main(["cluster", "--input", str(data), "--criterion", crit, "--out", str(out)]) == 0
+        merges = json.loads(out.read_text())["merges"]
+        n = len(merges) + 1
+        for a, b, lev in merges:
+            assert all(c < n or merges[c - n][2] <= lev for c in (a, b))
 
     def test_empty_csv_data_error(self, tmp_path):
         bad = tmp_path / "empty.csv"
@@ -292,6 +325,16 @@ class TestCanon:
         obj = json.loads(out.read_text())
         assert "swapped_nodes" in obj
         assert len(obj["merges"]) == 7
+
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_level_rejected(self, tmp_path, capsys, bad):
+        tree = tmp_path / "t.json"
+        tree.write_text('{"n_terminals": 2, "merges": [[0, 1, %s]]}' % bad)
+        out = tmp_path / "canon.json"
+        assert main(["canon", "--dend", str(tree), "--out", str(out)]) == 2
+        assert "not finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestComposition:

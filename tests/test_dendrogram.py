@@ -70,6 +70,25 @@ class TestDendrogram:
     def test_newick(self):
         assert small_tree().to_newick() == "(x:3.5,(y:1,z:1):2.5);"
 
+    def test_newick_one_terminal(self):
+        assert Dendrogram(1, ()).to_newick() == "0;"
+        assert Dendrogram(1, (), labels=("a",)).to_newick() == "a;"
+
+    def test_newick_deep_caterpillar(self):
+        n = 3000  # deeper than the default recursion limit
+        merges = [(0, 1, 1.0)] + [(n + k, k + 2, k + 2.0) for k in range(n - 2)]
+        text = Dendrogram(n, merges).to_newick()
+        assert text.startswith("(" * (n - 1) + "0:1,1:1):1,2:2):1,")
+        assert text.endswith(f",{n - 1}:{n - 1:g});")
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "-1.0"])
+    def test_level_not_finite_nonnegative(self, bad):
+        text = '{"n_terminals": 2, "merges": [[0, 1, %s]]}' % bad
+        with pytest.raises(ValueError, match="not finite and nonnegative"):
+            Dendrogram.from_json(text)
+        with pytest.raises(ValueError, match="not finite and nonnegative"):
+            Dendrogram(2, ((0, 1, float(bad)),))
+
     def test_rank_levels(self):
         d = small_tree().with_rank_levels()
         assert [m[2] for m in d.merges] == [1.0, 2.0]

@@ -227,7 +227,3 @@ class TestTable:
     def test_rejects_label_mismatch(self):
         with pytest.raises(ValueError):
             Table(np.ones((2, 2)), row_labels=("a",))
-
-    def test_is_boolean(self):
-        assert bool5().is_boolean()
-        assert not iris8().is_boolean()

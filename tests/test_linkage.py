@@ -16,7 +16,7 @@ from umtree import (
 )
 from umtree.datasets import iris8
 
-from conftest import random_points
+from conftest import ROUNDING_INVERSIONS, random_points
 
 REDUCIBLE = [
     MergeCriterion.SINGLE,
@@ -162,6 +162,51 @@ class TestTieRules:
         # dendrogram numbers nodes in level order
         d = nn_chain_cluster(euclidean_matrix(self.TIED), "complete")
         assert d.merges[2] == (3, 6, 2.0)
+
+
+class TestRoundingInversions:
+    """NN-chain merges a parent one ulp below its child here, so sorting
+    by cost alone put the parent first ("child id 46 out of range")."""
+
+    @pytest.mark.parametrize("crit", sorted(ROUNDING_INVERSIONS))
+    def test_levels_monotone_along_containment(self, crit):
+        m = euclidean_matrix(ROUNDING_INVERSIONS[crit])
+        for cluster in (naive_cluster, nn_chain_cluster):
+            d = cluster(m, crit)
+            for a, b, lev in d.merges:
+                assert d.level(a) <= lev and d.level(b) <= lev
+
+    def test_raw_level_one_ulp_below(self):
+        d = nn_chain_cluster(euclidean_matrix(ROUNDING_INVERSIONS["average"]), "average")
+        diff = [(r, lev) for r, (*_, lev) in zip(d.raw_levels, d.merges) if r != lev]
+        assert diff == [(np.nextafter(0.42426406871192845, 0), 0.42426406871192845)]
+
+    def test_ward_costs_share_a_square_root(self):
+        # the two costs, 0.03 plus 6 and 10 times 1e-18 or so, have one
+        # square root, so the repaired and the raw levels agree
+        d = nn_chain_cluster(euclidean_matrix(ROUNDING_INVERSIONS["ward"]), "ward")
+        assert d.raw_levels is None
+        assert sum(lev == np.sqrt(0.03000000000000001) for *_, lev in d.merges) == 2
+
+
+class TestSquaredOverflow:
+    # distances above sqrt(float max), about 1.34e154, overflow when squared
+    X = np.array([0.0, 1e160, 3e160, 7e160])
+    M = DistanceMatrix(np.abs(X[:, None] - X[None, :]))
+
+    @pytest.mark.parametrize("cluster, crit", [
+        (naive_cluster, "ward"), (naive_cluster, "median"), (nn_chain_cluster, "ward"),
+    ])
+    def test_named_before_squaring(self, cluster, crit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{crit} linkage squares .* overflows float64"):
+                cluster(self.M, crit)
+
+    @pytest.mark.parametrize("cluster", [naive_cluster, nn_chain_cluster])
+    def test_single_unaffected(self, cluster):
+        d = cluster(self.M, "single")
+        assert [lev for *_, lev in d.merges] == [self.M[0, 1], self.M[1, 2], self.M[2, 3]]
 
 
 class TestNearSymmetric:

@@ -1,24 +1,65 @@
 """The linkage drivers against the (2n-1)-square drivers they replaced,
-kept here as oracles.
+and _finish against the two-mode renumbering it replaced, kept here as
+oracles.
 
 The oracles index their matrix by cluster id, so the new drivers' tie
 rules on ids must pick the same merges: every dendrogram, raw levels
-included, has to be bit-for-bit the oracle's, on tied integer grids as
-well as on continuous data.
+included, has to be bit-for-bit the oracle's, on tied grids as well as
+on continuous data.  oracle_finish fails on NN-chain output where
+rounding leaves a parent's cost below its child's; everywhere else it
+has to build the same dendrogram as _finish.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umtree import DistanceMatrix, MergeCriterion, euclidean_matrix, naive_cluster, nn_chain_cluster
+from umtree import Dendrogram, DistanceMatrix, MergeCriterion, euclidean_matrix, linkage
 from umtree.linkage import _coerce, _finish
+
+from conftest import ROUNDING_INVERSIONS
 
 
 # -- oracles: the previous implementations ----------------------------------
+
+
+def oracle_finish(n, raw_merges, crit, labels=None, reorder=False):
+    """Renumber cluster ids and repair level inversions.
+
+    reorder sorts merges by cost first: needed for NN-chain output (it
+    merges out of cost order) and safe there because reducibility keeps
+    every child's cost at or below its parent's.  The naive driver
+    already merges in cost order for reducible criteria, and for median
+    the creation order is the dendrogram order (costs may invert).
+    """
+    if reorder:
+        order = sorted(range(len(raw_merges)), key=lambda k: (raw_merges[k][2], k))
+    else:
+        order = list(range(len(raw_merges)))
+    newid = {t: t for t in range(n)}
+    for pos, k in enumerate(order):
+        newid[n + k] = n + pos
+    merges = []
+    raw_levels = []
+    prev = 0.0
+    for k in order:
+        a, b, cost = raw_merges[k]
+        a, b = sorted((newid[a], newid[b]))
+        level = float(np.sqrt(cost)) if crit.squared else float(cost)
+        raw_levels.append(level)
+        prev = max(prev, level)
+        merges.append((a, b, prev))
+    repaired = any(abs(r - m[2]) > 0 for r, m in zip(raw_levels, merges))
+    return Dendrogram(
+        n,
+        tuple(merges),
+        raw_levels=tuple(raw_levels) if repaired else None,
+        labels=tuple(labels) if labels else None,
+    )
 
 
 def _lw_row(d_i, d_j, d_ij, sizes_all, n_i, n_j, crit):
@@ -84,7 +125,7 @@ def oracle_naive_cluster(m, crit, labels=None):
         active[new] = True
         sizes[new] = sizes[a] + sizes[b]
         raw.append((a, b, float(best)))
-    return _finish(n, raw, crit, labels, reorder=False)
+    return _finish(n, raw, crit, labels)
 
 
 def oracle_nn_chain_cluster(m, crit, labels=None):
@@ -132,21 +173,24 @@ def oracle_nn_chain_cluster(m, crit, labels=None):
             next_id += 1
         else:
             chain.append(y)
-    return _finish(n, raw, crit, labels, reorder=True)
+    return _finish(n, raw, crit, labels)
 
 
 # -- strategies -------------------------------------------------------------
 
 
+GRID_SCALES = (1.0, 0.1, 0.3)  # 0.1 and 0.3 grids reach rounding inversions
+
+
 @st.composite
 def tables(draw):
-    """Integer grids with values in {0, 1, 2}, where many pairs and many
-    candidate merges tie, and continuous normal data."""
+    """Grids with values in {0, 1, 2} times a scale, where many pairs and
+    many candidate merges tie, and continuous normal data."""
     n = draw(st.integers(2, 40))
     m = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        return rng.integers(0, 3, size=(n, m)).astype(float)
+        return draw(st.sampled_from(GRID_SCALES)) * rng.integers(0, 3, size=(n, m))
     return rng.normal(size=(n, m))
 
 
@@ -158,15 +202,41 @@ def assert_same(dend, expected):
     assert dend.raw_levels == expected.raw_levels
 
 
+def checked_naive_cluster(m, crit):
+    return _checked(linkage.naive_cluster, m, crit, reorder=False)
+
+
+def checked_nn_chain_cluster(m, crit):
+    return _checked(linkage.nn_chain_cluster, m, crit, reorder=True)
+
+
+def _checked(driver, m, crit, reorder):
+    """The driver's dendrogram; on the way, its raw merges also go to
+    oracle_finish, which must build the same tree wherever it returns."""
+
+    def finish(n, raw, crit, labels=None):
+        dend = _finish(n, raw, crit, labels)
+        try:
+            expected = oracle_finish(n, raw, crit, labels, reorder)
+        except ValueError:  # a rounding inversion in NN-chain output
+            assert reorder
+            return dend
+        assert_same(dend, expected)
+        return dend
+
+    with mock.patch.object(linkage, "_finish", finish):
+        return driver(m, crit)
+
+
 @pytest.mark.filterwarnings("ignore:median update went negative")
 @settings(max_examples=200, deadline=None)
 @given(tables())
 def test_drivers_equal_oracles(x):
     m = euclidean_matrix(x)
     for crit in MergeCriterion:
-        assert_same(naive_cluster(m, crit), oracle_naive_cluster(m, crit))
+        assert_same(checked_naive_cluster(m, crit), oracle_naive_cluster(m, crit))
         if crit.reducible:
-            assert_same(nn_chain_cluster(m, crit), oracle_nn_chain_cluster(m, crit))
+            assert_same(checked_nn_chain_cluster(m, crit), oracle_nn_chain_cluster(m, crit))
 
 
 @st.composite
@@ -176,7 +246,7 @@ def large_tables(draw):
     m = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        return rng.integers(0, 3, size=(n, m)).astype(float)
+        return draw(st.sampled_from(GRID_SCALES)) * rng.integers(0, 3, size=(n, m))
     return rng.normal(size=(n, m))
 
 
@@ -186,7 +256,7 @@ def large_tables(draw):
 def test_naive_equals_oracle_large(x):
     m = euclidean_matrix(x)
     for crit in ("median", "complete"):
-        assert_same(naive_cluster(m, crit), oracle_naive_cluster(m, crit))
+        assert_same(checked_naive_cluster(m, crit), oracle_naive_cluster(m, crit))
 
 
 # -- pinned paths of the cached-neighbour loop -------------------------------
@@ -196,7 +266,7 @@ def test_naive_equals_oracle_large(x):
 def test_cached_neighbour_retired(crit):
     # row 2's nearest neighbour is terminal 1, retired by the first merge
     m = euclidean_matrix(np.array([[0.0], [1.0], [2.1], [5.0]]))
-    assert_same(naive_cluster(m, crit), oracle_naive_cluster(m, crit))
+    assert_same(checked_naive_cluster(m, crit), oracle_naive_cluster(m, crit))
 
 
 def test_median_row_below_cached_minimum():
@@ -207,7 +277,7 @@ def test_median_row_below_cached_minimum():
     # at a child and is rescanned.
     x = np.array([[0, 0], [16, 0], [8, 14], [8, -14], [24, 15]], float)
     m = euclidean_matrix(x)
-    dend = naive_cluster(m, "median")
+    dend = checked_naive_cluster(m, "median")
     assert_same(dend, oracle_naive_cluster(m, "median"))
     assert dend.merges[1][:2] == (2, 5)
     assert dend.raw_levels[1] < dend.raw_levels[0] == 16.0  # an inversion, repaired
@@ -216,6 +286,18 @@ def test_median_row_below_cached_minimum():
 @pytest.mark.parametrize("crit", list(MergeCriterion), ids=lambda c: c.value)
 def test_all_rows_duplicate(crit):
     m = euclidean_matrix(np.ones((9, 2)))
-    dend = naive_cluster(m, crit)
+    dend = checked_naive_cluster(m, crit)
     assert_same(dend, oracle_naive_cluster(m, crit))
     assert all(level == 0.0 for _, _, level in dend.merges)
+
+
+@pytest.mark.parametrize("crit", sorted(ROUNDING_INVERSIONS))
+def test_rounding_inversion_ordered(crit):
+    # sorted by cost alone, a parent one ulp below its child comes first
+    m = euclidean_matrix(ROUNDING_INVERSIONS[crit])
+    raw = []
+    with mock.patch.object(linkage, "_finish", lambda n, r, c, labels=None: raw.append(r)):
+        linkage.nn_chain_cluster(m, crit)
+    with pytest.raises(ValueError, match="out of range"):
+        oracle_finish(m.n, raw[0], _coerce(crit), reorder=True)
+    assert_same(checked_nn_chain_cluster(m, crit), oracle_nn_chain_cluster(m, crit))

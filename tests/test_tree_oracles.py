@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from umtree import (
@@ -170,6 +170,24 @@ def oracle_dilation_map(dend):
             groups.setdefault(key, set()).add(t)
         out.append(sorted(map(frozenset, groups.values()), key=sorted))
     return out
+
+
+def oracle_newick(dend):
+    """The recursive renderer; needs n >= 2 and a stack as deep as the tree."""
+
+    def render(node: int, parent_level: float) -> str:
+        length = parent_level - dend.level(node)
+        if dend.is_terminal(node):
+            name = dend.labels[node] if dend.labels else str(node)
+            return f"{name}:{length:g}"
+        a, b = dend.children(node)
+        lev = dend.level(node)
+        return f"({render(a, lev)},{render(b, lev)}):{length:g}"
+
+    root = dend.root
+    a, b = dend.children(root)
+    lev = dend.level(root)
+    return f"({render(a, lev)},{render(b, lev)});"
 
 
 # -- strategies -------------------------------------------------------------
@@ -391,6 +409,16 @@ def test_members_canonicalize_and_dilation_map(dend):
     canon, perm = canonicalize(dend)
     assert perm == oracle_canonical_swaps(dend)
     assert dilation_cluster_map(dend) == oracle_dilation_map(dend)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dendrograms(), st.booleans())
+def test_newick_equals_recursive_renderer(dend, labelled):
+    n = dend.n_terminals
+    assume(n >= 2)
+    if labelled:
+        dend = Dendrogram(n, dend.merges, labels=tuple(f"x{t}" if t % 2 else t / 4 for t in range(n)))
+    assert dend.to_newick() == oracle_newick(dend)
 
 
 @settings(max_examples=300, deadline=None)
