@@ -58,12 +58,13 @@ class DistanceMatrix:
             nonneg = nonneg and low >= 0
             with np.errstate(invalid="ignore"):  # inf - inf, as in np.allclose
                 diff = x - y
-            exact = exact and not diff.any()
-            np.abs(diff, out=diff)
-            tol = np.abs(y)
-            tol *= 1e-5
-            tol += 1e-8
-            symmetric = symmetric and bool((diff <= tol).all())
+            if diff.any():  # rows equal to their columns need no tolerance
+                exact = False
+                np.abs(diff, out=diff)
+                tol = np.abs(y)
+                tol *= 1e-5
+                tol += 1e-8
+                symmetric = symmetric and bool((diff <= tol).all())
         if not finite:
             raise ValueError("distances must be finite")
         if not square:
@@ -156,7 +157,7 @@ class Dendrogram:
             if not 0 <= lev < np.inf:  # also NaN
                 raise ValueError(f"merge {r}: level {lev} is not finite and nonnegative")
             for c in (a, b):
-                if c >= n and merges[c - n][2] > lev + 1e-12:
+                if c >= n and merges[c - n][2] > lev:
                     raise ValueError(
                         f"merge {r}: level below child's (use monotone repair)"
                     )

@@ -1,6 +1,11 @@
 """Pairwise dissimilarities: Euclidean distances and the set-valued
 simple-matching dissimilarity on boolean attribute tables.
 
+Euclidean distances are summed from the differences themselves, column
+by column in order, one block of rows at a time: no BLAS call and no
+Gram matrix, so offset data loses no precision, and the result equals
+scipy's cdist bit for bit.  The cost is O(n^2 m) elementwise work.
+
 The set-valued rule scores each attribute position of a pair of rows:
 0 when both rows have the attribute present (1), and 1 otherwise --
 so co-absence counts toward the distance set.  The distance between two
@@ -18,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dendrogram import DistanceMatrix
+from .dendrogram import DistanceMatrix, _row_blocks
 
 __all__ = [
     "Table",
@@ -119,21 +124,34 @@ def load_csv(text_or_path, columns=None) -> Table:
 
 
 def euclidean_matrix(data) -> DistanceMatrix:
-    """Pairwise Euclidean distance matrix of the table rows."""
-    # C order makes x @ x.T one BLAS triangle mirrored, so d comes out
-    # exactly symmetric; a strided view would take a general product
-    x = np.ascontiguousarray(data.values if isinstance(data, Table) else data, dtype=float)
-    sq = np.sum(x**2, axis=1)
-    # sq_i + sq_j - 2 x_i.x_j in place, in that order: the bits of the
-    # plain expression with one n x n temporary instead of three
-    d = sq[:, None] + sq[None, :]
-    gram = x @ x.T
-    gram *= 2.0
-    d -= gram
-    del gram
-    np.maximum(d, 0.0, out=d)
-    np.sqrt(d, out=d)
-    np.fill_diagonal(d, 0.0)
+    """Pairwise Euclidean distance matrix of the table rows.
+
+    d_ij = sqrt(sum_k (x_ik - x_jk)^2), summed over the columns in order:
+    the bits of scipy's cdist(x, x), and exactly symmetric, since
+    (a - b)^2 == (b - a)^2 and both entries are summed in the same order.
+    """
+    x = np.asarray(data.values if isinstance(data, Table) else data, dtype=float)
+    n = x.shape[0]
+    cols = np.ascontiguousarray(x.T)
+    d = np.zeros((n, n))
+    blocks = _row_blocks(n)
+    tmp = np.empty_like(d[blocks[0]]) if blocks else None
+    # a ufunc buffer longer than a row makes numpy copy both broadcast
+    # operands of the subtraction through it; with one no longer than a
+    # row (a multiple of 16 elements, as numpy 1.x asks) it reads them in
+    # place, about twice as fast at n = 1000
+    old = np.setbufsize(max(16, n - n % 16))
+    try:
+        for rows in blocks:
+            out = d[rows]
+            t = tmp[: len(out)]
+            for c in cols:
+                np.subtract(c[rows, None], c, out=t)
+                np.multiply(t, t, out=t)
+                out += t
+            np.sqrt(out, out=out)
+    finally:
+        np.setbufsize(old)
     return DistanceMatrix(d)
 
 

@@ -34,9 +34,11 @@ ROUNDING_INVERSIONS = {
          [0, 1], [0, 0], [2, 1], [0, 2], [0, 2], [2, 1], [1, 2], [2, 2], [1, 0],
          [1, 2], [0, 0], [0, 1], [0, 1], [0, 2], [2, 2], [2, 0], [1, 2]]
     ),
-    "average": 0.3 * np.array(
-        [[0, 1, 2], [0, 1, 0], [0, 2, 1], [0, 1, 2], [0, 0, 1], [2, 0, 1], [0, 2, 2],
-         [0, 1, 0], [0, 2, 2], [0, 1, 1], [0, 0, 0], [0, 0, 1], [2, 0, 1], [0, 1, 1],
-         [0, 1, 0], [0, 2, 0], [2, 1, 2], [1, 2, 1], [1, 0, 2], [2, 0, 1], [0, 2, 1]]
-    ),
+    # values 0-2 over 3: rng.integers(0, 3, (24, 3)) of default_rng(2583)
+    "average": np.array(
+        [[1, 1, 2], [2, 2, 2], [2, 2, 2], [2, 2, 0], [1, 1, 1], [2, 0, 1], [2, 1, 1],
+         [0, 1, 0], [1, 1, 2], [0, 1, 0], [1, 1, 2], [1, 0, 0], [2, 1, 2], [2, 1, 2],
+         [2, 1, 1], [1, 0, 1], [1, 0, 0], [0, 0, 1], [1, 1, 2], [2, 2, 1], [2, 0, 2],
+         [2, 0, 2], [2, 0, 2], [1, 1, 2]]
+    ) / 3,
 }

@@ -46,6 +46,12 @@ class TestDendrogram:
             # parent below child level
             Dendrogram(3, ((0, 1, 2.0), (2, 3, 1.0)))
 
+    def test_no_level_tolerance(self):
+        # a parent 1e-13 under its child is below it at any scale
+        with pytest.raises(ValueError, match="level below child's"):
+            Dendrogram(3, ((0, 1, 2e-13), (2, 3, 1e-13)))
+        assert Dendrogram(3, ((0, 1, 1e-13), (2, 3, 1e-13))).level(4) == 1e-13
+
     def test_duplicate_labels_rejected(self):
         merges = ((1, 2, 1.0), (0, 3, 3.5))
         with pytest.raises(ValueError, match=r"label 'y' repeated \(terminals 1 and 2\)"):

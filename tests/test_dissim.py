@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umtree import (
     SetValuedDistanceTable,
@@ -25,6 +27,11 @@ def simple_matching_setvalued(data, i: int, j: int) -> frozenset:
     return frozenset(np.flatnonzero(~both).tolist())
 
 
+@pytest.fixture(scope="module")
+def cdist():
+    return pytest.importorskip("scipy.spatial.distance").cdist
+
+
 class TestEuclidean:
     def test_3_4_5(self):
         m = euclidean_matrix(np.array([[0.0, 0.0], [3.0, 4.0]]))
@@ -42,32 +49,52 @@ class TestEuclidean:
         x = rng.normal(size=(15, 4))
         assert verify_metric(euclidean_matrix(x), tol=1e-12) == []
 
-    def test_bits_of_plain_expression(self, rng):
-        # the in-place evaluation must give the bits of the expression it
-        # replaced, so every tree and artifact stays byte-identical
-        for n, m, scale, offset in [(1, 1, 1.0, 0.0), (2, 3, 1e-8, 0.0), (40, 8, 1.0, 0.0),
-                                    (60, 3, 1.0, 1e6), (33, 5, 1e150, 0.0), (50, 2, 3.0, -7.5)]:
-            x = rng.normal(size=(n, m)) * scale + offset
-            x[n // 2] = x[0]  # a duplicate row: clamped at 0 before the root
-            sq = np.sum(x**2, axis=1)
-            d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-            np.maximum(d2, 0.0, out=d2)
-            d = np.sqrt(d2)
-            np.fill_diagonal(d, 0.0)
-            expected = np.minimum(d, d.T)
-            assert euclidean_matrix(x).values.tobytes() == expected.tobytes()
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 60), m=st.integers(1, 20), scale=st.integers(-8, 150),
+        offset=st.floats(-1e6, 1e6), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_of_cdist(self, cdist, n, m, scale, offset, seed):
+        x = np.random.default_rng(seed).normal(size=(n, m)) * 10.0**scale + offset
+        x[n // 2] = x[0]  # a duplicate row
+        assert euclidean_matrix(x).values.tobytes() == cdist(x, x).tobytes()
+
+    def test_offset_data_exact(self, cdist, rng):
+        # the Gram expression sq_i + sq_j - 2 x_i.x_j was off by 1e-3 here
+        x = rng.normal(size=(60, 3)) + 1e6
+        assert np.abs(euclidean_matrix(x).values - cdist(x, x)).max() == 0.0
+
+    def test_differences_of_huge_rows(self, cdist, rng):
+        # squares of the rows overflow, squares of their differences do not
+        x = 1e160 + rng.normal(size=(10, 3)) * 1e150
+        assert euclidean_matrix(x).values.tobytes() == cdist(x, x).tobytes()
+
+    def test_one_row(self):
+        assert euclidean_matrix(np.array([[1.0, -2.0]])).values.tolist() == [[0.0]]
+
+    def test_ufunc_buffer_size_restored(self):
+        before = np.getbufsize()
+        euclidean_matrix(np.ones((40, 2)))
+        assert np.getbufsize() == before
+        with np.errstate(over="raise"):  # fails inside the block loop
+            with pytest.raises(FloatingPointError):
+                euclidean_matrix(np.array([[-1e308], [1e308]]))
+            assert np.getbufsize() == before
+
+    def test_zero_columns(self):
+        assert np.array_equal(euclidean_matrix(np.empty((4, 0))).values, np.zeros((4, 4)))
 
     def test_exactly_symmetric(self, rng):
-        # a column-strided view is copied to C order, whose Gram matrix
-        # BLAS computes as one triangle mirrored
+        # (a - b)^2 == (b - a)^2, and d_ij and d_ji sum the columns in the
+        # same order, whatever the layout of the input
         x = rng.normal(size=(300, 140)) * 1e3 + 7
         for view in (x, x[:, ::2], np.asfortranarray(x), x[::2]):
             d = euclidean_matrix(view).values
             assert np.array_equal(d, d.T)
 
     def test_one_temporary_matrix(self, rng):
-        # result, gram matrix and DistanceMatrix's checks; 5.15 n^2 doubles
-        # when the expression was evaluated out of place
+        # the result, one block of rows and DistanceMatrix's checks: 1.8 n^2
+        # doubles (2.0 when a Gram matrix was the temporary)
         x = rng.normal(size=(600, 8))
         euclidean_matrix(x)
         tracemalloc.start()

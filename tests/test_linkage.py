@@ -176,10 +176,20 @@ class TestRoundingInversions:
             for a, b, lev in d.merges:
                 assert d.level(a) <= lev and d.level(b) <= lev
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-13])
+    @pytest.mark.parametrize("grid", sorted(ROUNDING_INVERSIONS))
+    @pytest.mark.parametrize("crit", ["single", "complete", "average", "ward", "median"])
+    def test_trees_construct_without_level_tolerance(self, crit, grid, scale):
+        # Dendrogram accepts no parent below its child, however close
+        m = euclidean_matrix(ROUNDING_INVERSIONS[grid] * scale)
+        for cluster in (naive_cluster,) if crit == "median" else (naive_cluster, nn_chain_cluster):
+            d = cluster(m, crit)
+            assert all(d.level(c) <= lev for a, b, lev in d.merges for c in (a, b))
+
     def test_raw_level_one_ulp_below(self):
         d = nn_chain_cluster(euclidean_matrix(ROUNDING_INVERSIONS["average"]), "average")
         diff = [(r, lev) for r, (*_, lev) in zip(d.raw_levels, d.merges) if r != lev]
-        assert diff == [(np.nextafter(0.42426406871192845, 0), 0.42426406871192845)]
+        assert diff == [(np.nextafter(0.4714045207910317, 0), 0.4714045207910317)]
 
     def test_ward_costs_share_a_square_root(self):
         # the two costs, 0.03 plus 6 and 10 times 1e-18 or so, have one
