@@ -9,6 +9,7 @@ branch label +1; the second carries -1.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -34,6 +35,16 @@ def _row_blocks(n):
     """Slices of consecutive rows of an n x n matrix, _BLOCK entries or so each."""
     step = max(1, _BLOCK // max(n, 1))
     return [slice(r, r + step) for r in range(0, n, step)]
+
+
+@contextmanager
+def _overflow_named(message):
+    """Raise a float64 overflow inside the block as ValueError(message)."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(message) from None
 
 
 @dataclass(frozen=True)
@@ -128,10 +139,14 @@ class Dendrogram:
         n = self.n_terminals
         if n < 1:
             raise ValueError("need at least one terminal")
-        merges = tuple(
-            (int(a), int(b), float(lev)) for a, b, lev in self.merges
-        )
-        object.__setattr__(self, "merges", merges)
+        merges = []
+        for r, m in enumerate(self.merges, start=1):
+            try:
+                a, b, lev = m
+                merges.append((int(a), int(b), float(lev)))
+            except (TypeError, ValueError):
+                raise ValueError(f"merge {r} is {m!r}, expected [a, b, level]") from None
+        object.__setattr__(self, "merges", tuple(merges))
         if len(merges) != n - 1:
             raise ValueError(f"expected {n - 1} merges, got {len(merges)}")
         if self.labels is not None:
@@ -281,9 +296,12 @@ class Dendrogram:
     @classmethod
     def from_json(cls, text: str) -> "Dendrogram":
         obj = json.loads(text)
+        for key in ("n_terminals", "merges"):
+            if not isinstance(obj, dict) or key not in obj:
+                raise ValueError(f"tree JSON has no {key!r} key")
         return cls(
             n_terminals=int(obj["n_terminals"]),
-            merges=tuple(tuple(m) for m in obj["merges"]),
+            merges=tuple(obj["merges"]),
             labels=tuple(obj["labels"]) if obj.get("labels") else None,
         )
 

@@ -20,10 +20,11 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
-from .dendrogram import DistanceMatrix, _row_blocks
+from .dendrogram import DistanceMatrix, _overflow_named, _row_blocks
 
 __all__ = [
     "Table",
@@ -115,9 +116,17 @@ def load_csv(text_or_path, columns=None) -> Table:
     else:
         row_labels = None
         data = body
-    values = np.array([[float(x) for x in r] for r in data])
+    try:
+        values = np.array([[float(x) for x in r] for r in data])
+    except ValueError:
+        line, label, x = next((line, label, x) for (line, _), r in zip(rows[1:], data)
+                              for label, x in zip(col_labels, r) if not numeric(x))
+        raise ValueError(f"CSV line {line}, column {label!r}: {x!r} is not a number") from None
     table = Table(values, row_labels, col_labels)
     if columns:
+        for c in columns:
+            if c not in col_labels:
+                raise ValueError(f"no column {c!r}; the columns are {', '.join(col_labels)}")
         idx = [col_labels.index(c) for c in columns]
         table = Table(values[:, idx], row_labels, tuple(columns))
     return table
@@ -131,6 +140,8 @@ def euclidean_matrix(data) -> DistanceMatrix:
     (a - b)^2 == (b - a)^2 and both entries are summed in the same order.
     """
     x = np.asarray(data.values if isinstance(data, Table) else data, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("table values must be finite")
     n = x.shape[0]
     cols = np.ascontiguousarray(x.T)
     d = np.zeros((n, n))
@@ -142,14 +153,16 @@ def euclidean_matrix(data) -> DistanceMatrix:
     # place, about twice as fast at n = 1000
     old = np.setbufsize(max(16, n - n % 16))
     try:
-        for rows in blocks:
-            out = d[rows]
-            t = tmp[: len(out)]
-            for c in cols:
-                np.subtract(c[rows, None], c, out=t)
-                np.multiply(t, t, out=t)
-                out += t
-            np.sqrt(out, out=out)
+        with _overflow_named("a squared Euclidean distance overflows float64 (a column "
+                             "difference above about 1.34e154 is enough)"):
+            for rows in blocks:
+                out = d[rows]
+                t = tmp[: len(out)]
+                for c in cols:
+                    np.subtract(c[rows, None], c, out=t)
+                    np.multiply(t, t, out=t)
+                    out += t
+                np.sqrt(out, out=out)
     finally:
         np.setbufsize(old)
     return DistanceMatrix(d)
@@ -206,10 +219,10 @@ class SetValuedDistanceTable:
         """(masks, codes, i, j): each distinct pair distance once, as an int
         bitmask, and per pair (i[k], j[k]) in lexicographic order its index in masks."""
         full = (1 << self.n_attributes) - 1
-        w = np.array(self.rows, dtype=object)
-        i, j = np.triu_indices(self.n, 1)
         index = {}  # distinct masks in first-seen order
-        codes = [index.setdefault(d, len(index)) for d in (full & ~(w[i] & w[j])).tolist()]
+        codes = [index.setdefault(full & ~(a & b), len(index))
+                 for a, b in combinations(self.rows, 2)]
+        i, j = np.triu_indices(self.n, 1)  # the order of combinations
         return tuple(index), np.array(codes, np.intp), i, j
 
     @cached_property

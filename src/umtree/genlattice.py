@@ -8,8 +8,9 @@ distances all fit inside a single maximal lattice node of level <= k.
 Everything is read off the table's row masks w, objects i != j being at
 distance ~(w_i & w_j):
 
-- The distinct distances are ~(a & b) for two distinct rows a and b,
-  and ~a for a row that two objects share.
+- Vertices are the complements of meets of two or more rows: a union of
+  distances ~(w_i & w_j) is ~ of the meet of every row involved, and any
+  set of two or more objects is the union of its pairs.
 - Level clusters are concept extents: pair (i, j) is linked within node
   v iff ~v <= w_i & w_j, so the pairs linked within v are all the pairs
   of the extent {i : w_i >= ~v}.
@@ -26,7 +27,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -63,22 +63,19 @@ class Semilattice:
         return frozenset(node) in self._vertex_set
 
 
-def _distances(t: SetValuedDistanceTable) -> set:
-    """The distinct pair distances, from the distinct rows."""
-    full = (1 << t.n_attributes) - 1
+def _vertices(t: SetValuedDistanceTable) -> list:
+    """Vertices in order: seen holds the meets of one or more distinct rows
+    met so far, meets those of two or more objects (first, shared rows)."""
     count = Counter(t.rows)
-    found = {full & ~a for a, c in count.items() if c > 1}
-    found.update(full & ~(a & b) for a, b in combinations(count, 2))
-    return found
-
-
-def _union_closure(masks) -> list:
-    """All unions of nonempty subfamilies, in vertex order: adding a
-    generator g adds g and f | g for every f already there."""
-    family = set()
-    for g in masks:
-        family |= {g} | {f | g for f in family}
-    return sorted(family, key=_mask_key)
+    meets = {w for w, c in count.items() if c > 1}
+    seen = set()
+    for w in count:
+        new = {s & w for s in seen}
+        meets |= new
+        seen |= new
+        seen.add(w)
+    full = (1 << t.n_attributes) - 1
+    return sorted((full & ~v for v in meets), key=_mask_key)
 
 
 def _cover_edges(order) -> list:
@@ -99,8 +96,9 @@ def _cover_edges(order) -> list:
 
 
 def build_lattice(t: SetValuedDistanceTable) -> Semilattice:
-    """Union-closure of the observed distance sets, with cover edges."""
-    order = _union_closure(_distances(t))
+    """The distances closed under union, read off as the complements of
+    the row meets, with cover edges."""
+    order = _vertices(t)
     sets = {v: frozenset(from_mask(v)) for v in order}
     edges = tuple((sets[lo], sets[hi]) for lo, hi in _cover_edges(order))
     return Semilattice(tuple(sets.values()), edges)
@@ -132,7 +130,7 @@ def clusters_at_level(t: SetValuedDistanceTable, k: int) -> list:
         raise ValueError(f"level {k} out of range 0..{t.n_attributes}")
     full = (1 << t.n_attributes) - 1
     clusters = {1 << x for x in range(t.n)}
-    for node in _union_closure(_distances(t)):
+    for node in _vertices(t):
         if node.bit_count() <= k:
             need = full & ~node
             clusters.add(to_mask(i for i, w in enumerate(t.rows) if w & need == need))

@@ -38,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dendrogram import Dendrogram, _as_matrix
+from .dendrogram import Dendrogram, _as_matrix, _overflow_named
 
 __all__ = [
     "MergeCriterion",
@@ -120,12 +120,9 @@ class _Clusters:
         self.n = n = d.shape[0]
         if n < 2:
             raise ValueError("need at least 2 observations")
-        try:
-            with np.errstate(over="raise"):
-                self.d = d**2 if crit.squared else d.copy()
-        except FloatingPointError:
-            raise ValueError(f"{crit.value} linkage squares the distances, "
-                             "and a distance above 1.34e154 overflows float64") from None
+        with _overflow_named(f"{crit.value} linkage squares the distances, "
+                             "and a distance above 1.34e154 overflows float64"):
+            self.d = d**2 if crit.squared else d.copy()
         np.fill_diagonal(self.d, np.inf)
         self.crit = crit
         self.ids = np.arange(n)
@@ -145,6 +142,12 @@ class _Clusters:
         self.raw.append((int(self.ids[a]), int(self.ids[b]), cost))
         self.ids[a] = self.n + len(self.raw) - 1
         self.ids[b] = 2 * self.n
+
+
+def _updates_named(crit):
+    """Wraps a clustering loop: a float64 overflow of an update is named."""
+    return _overflow_named(f"the {crit.value} Lance-Williams update overflows "
+                           "float64 on these distances")
 
 
 def _finish(n, raw_merges, crit, labels=None):
@@ -202,20 +205,21 @@ def naive_cluster(m, crit, labels=None) -> Dendrogram:
     d, ids = c.d, c.ids
     nn = d.argmin(axis=1)  # slots equal ids, so the first minimum is the smallest id
     dmin = d[np.arange(c.n), nn]
-    for _ in range(c.n - 1):
-        hits = np.flatnonzero(dmin == dmin.min())
-        a = int(hits[ids[hits].argmin()])
-        b = int(nn[a])
-        c.merge(a, b)
-        dmin[b] = np.inf
-        # live rows that pointed at a child; a itself, as nn[a] == b
-        rows = np.flatnonzero((dmin < np.inf) & ((nn == a) | (nn == b)))
-        col = d[a]  # column a, read as the equal row
-        nn[col < dmin] = a
-        np.minimum(dmin, col, out=dmin)
-        sub = d[rows]
-        dmin[rows] = low = sub.min(axis=1)
-        nn[rows] = np.where(sub == low[:, None], ids, 2 * c.n).argmin(axis=1)
+    with _updates_named(crit):
+        for _ in range(c.n - 1):
+            hits = np.flatnonzero(dmin == dmin.min())
+            a = int(hits[ids[hits].argmin()])
+            b = int(nn[a])
+            c.merge(a, b)
+            dmin[b] = np.inf
+            # live rows that pointed at a child; a itself, as nn[a] == b
+            rows = np.flatnonzero((dmin < np.inf) & ((nn == a) | (nn == b)))
+            col = d[a]  # column a, read as the equal row
+            nn[col < dmin] = a
+            np.minimum(dmin, col, out=dmin)
+            sub = d[rows]
+            dmin[rows] = low = sub.min(axis=1)
+            nn[rows] = np.where(sub == low[:, None], ids, 2 * c.n).argmin(axis=1)
     return _finish(c.n, c.raw, crit, labels)
 
 
@@ -229,17 +233,18 @@ def nn_chain_cluster(m, crit, labels=None) -> Dendrogram:
     c = _Clusters(m, crit)
     d, ids = c.d, c.ids
     chain = []
-    while len(c.raw) < c.n - 1:
-        if not chain:
-            chain.append(int(ids.argmin()))  # the smallest live id
-        x = chain[-1]
-        row = d[x]
-        hits = np.flatnonzero(row == row.min())
-        y = int(hits[ids[hits].argmin()])  # the smallest id on ties
-        if len(chain) >= 2 and y == chain[-2]:
-            chain.pop()
-            chain.pop()
-            c.merge(x, y)
-        else:
-            chain.append(y)
+    with _updates_named(crit):
+        while len(c.raw) < c.n - 1:
+            if not chain:
+                chain.append(int(ids.argmin()))  # the smallest live id
+            x = chain[-1]
+            row = d[x]
+            hits = np.flatnonzero(row == row.min())
+            y = int(hits[ids[hits].argmin()])  # the smallest id on ties
+            if len(chain) >= 2 and y == chain[-2]:
+                chain.pop()
+                chain.pop()
+                c.merge(x, y)
+            else:
+                chain.append(y)
     return _finish(c.n, c.raw, crit, labels)

@@ -135,6 +135,20 @@ class TestCluster:
         assert "CSV line 3 repeats row label 'a' of line 2" in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("body, argv, message", [
+        (",a,b\nr1,1,2\n", ["--columns", "zz"], "no column 'zz'; the columns are a, b"),
+        (",a,b\nr1,1,2\nr2,x,3\n", [], "CSV line 3, column 'a': 'x' is not a number"),
+        ("a\n0\n1e160\n3e160\n7e160\n", [],
+         "a squared Euclidean distance overflows float64"),
+    ])
+    def test_bad_table_named(self, tmp_path, capsys, body, argv, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(body)
+        out = tmp_path / "t.json"
+        assert main(["cluster", "--input", str(bad), "--out", str(out), *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["cluster"])  # --input missing
@@ -335,6 +349,18 @@ class TestCanon:
         assert main(["canon", "--dend", str(tree), "--out", str(out)]) == 2
         assert "not finite and nonnegative" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("tree, message", [
+        ('{"n_terminals": 2}', "tree JSON has no 'merges' key"),
+        ("[0, 1]", "tree JSON has no 'n_terminals' key"),
+        ('{"n_terminals": 2, "merges": [[0, 1]]}', "merge 1 is [0, 1], expected [a, b, level]"),
+    ])
+    def test_malformed_tree_named(self, tmp_path, capsys, tree, message):
+        path = tmp_path / "t.json"
+        path.write_text(tree)
+        assert main(["canon", "--dend", str(path), "--out", str(tmp_path / "c.json")]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestComposition:

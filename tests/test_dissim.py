@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,22 @@ class TestEuclidean:
         x = 1e160 + rng.normal(size=(10, 3)) * 1e150
         assert euclidean_matrix(x).values.tobytes() == cdist(x, x).tobytes()
 
+    @pytest.mark.parametrize("x", [
+        [[0.0], [1e160], [3e160], [7e160]],  # squares of the differences overflow
+        [[1e154] * 3, [0.0] * 3],  # squares fit, their sum overflows
+    ])
+    def test_overflow_named(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^a squared Euclidean distance overflows "
+                               "float64 .* above about 1.34e154"):
+                euclidean_matrix(np.array(x))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="^table values must be finite$"):
+            euclidean_matrix(np.array([[0.0, 1.0], [bad, 2.0]]))
+
     def test_one_row(self):
         assert euclidean_matrix(np.array([[1.0, -2.0]])).values.tolist() == [[0.0]]
 
@@ -76,10 +93,9 @@ class TestEuclidean:
         before = np.getbufsize()
         euclidean_matrix(np.ones((40, 2)))
         assert np.getbufsize() == before
-        with np.errstate(over="raise"):  # fails inside the block loop
-            with pytest.raises(FloatingPointError):
-                euclidean_matrix(np.array([[-1e308], [1e308]]))
-            assert np.getbufsize() == before
+        with pytest.raises(ValueError, match="overflows float64"):  # inside the block loop
+            euclidean_matrix(np.array([[-1e308], [1e308]]))
+        assert np.getbufsize() == before
 
     def test_zero_columns(self):
         assert np.array_equal(euclidean_matrix(np.empty((4, 0))).values, np.zeros((4, 4)))

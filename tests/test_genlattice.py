@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -14,7 +15,7 @@ from umtree import (
     setvalued_table,
 )
 from umtree.datasets import bool5
-from umtree.dissim import from_mask, row_masks
+from umtree.dissim import from_mask, row_masks, to_mask
 from umtree.genlattice import _mask_key
 
 # object ids: a=0, b=1, c=2, e=3, f=4; attribute ids: v1=0, v2=1, v3=2
@@ -202,6 +203,24 @@ def oracle_lattice(t):
     return tuple(vertices), tuple(edges)
 
 
+def oracle_distances(t) -> set:
+    """The distinct pair distances, from the distinct rows."""
+    full = (1 << t.n_attributes) - 1
+    count = Counter(t.rows)
+    found = {full & ~a for a, c in count.items() if c > 1}
+    found.update(full & ~(a & b) for a, b in combinations(count, 2))
+    return found
+
+
+def oracle_union_closure(masks) -> list:
+    """All unions of nonempty subfamilies, in vertex order: adding a
+    generator g adds g and f | g for every f already there."""
+    family = set()
+    for g in masks:
+        family |= {g} | {f | g for f in family}
+    return sorted(family, key=_mask_key)
+
+
 def oracle_clusters(t, vertices, k):
     """Maximal row sets whose pairs all fit in one vertex of level <= k,
     found among all row subsets."""
@@ -306,6 +325,37 @@ class TestAgainstOracles:
                         pairs_for_node(t, attrs)
         for k in range(t.n_attributes + 1):
             assert clusters_at_level(t, k) == oracle_clusters(t, vertices, k)
+
+
+def assert_union_closure(x):
+    t = setvalued_table(Table(np.asarray(x, dtype=float)))
+    vertices = [to_mask(v) for v in build_lattice(t).vertices]
+    assert vertices == oracle_union_closure(oracle_distances(t))
+    return vertices
+
+
+# a duplicated row is the only way a lone row's complement is a vertex
+tables_with_a_twice_drawn_row = st.integers(1, 8).flatmap(
+    lambda m: st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
+                       min_size=1, max_size=39)
+).flatmap(lambda rows: st.integers(0, len(rows) - 1).map(lambda k: rows + [rows[k]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_with_a_twice_drawn_row)
+def test_meet_closure_equals_union_closure(rows):
+    assert_union_closure(rows)
+
+
+@pytest.mark.parametrize("x, count", [
+    (np.random.default_rng(1).random((400, 10)) < 0.6, 1013),
+    (np.ones((1, 4)), 0),
+    (np.array([[1, 0, 1], [0, 1, 1]]), 1),
+    (np.ones((5, 4)), 1),
+    (np.zeros((5, 4)), 1),
+])
+def test_meet_closure_pinned(x, count):
+    assert len(assert_union_closure(x)) == count
 
 
 @settings(max_examples=100, deadline=None)

@@ -219,6 +219,31 @@ class TestSquaredOverflow:
         assert [lev for *_, lev in d.merges] == [self.M[0, 1], self.M[1, 2], self.M[2, 3]]
 
 
+class TestUpdateOverflow:
+    # the squares fit under float64's maximum, but ward's update multiplies
+    # them by cluster sizes
+    X = np.array([0, 1e153, 2e153, 1.2e154, 1.3e154, 1.25e154])
+    M = DistanceMatrix(np.abs(X[:, None] - X[None, :]))
+
+    @pytest.mark.parametrize("cluster", [naive_cluster, nn_chain_cluster])
+    def test_ward_named(self, cluster):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="^the ward Lance-Williams update overflows float64"):
+                cluster(self.M, "ward")
+
+    @pytest.mark.parametrize("cluster, crit", [
+        (cluster, crit) for cluster in (naive_cluster, nn_chain_cluster)
+        for crit in ("single", "complete", "average", "median")
+        if cluster is naive_cluster or crit != "median"
+    ])
+    def test_other_criteria_succeed(self, cluster, crit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(cluster(self.M, crit).merges) == 5
+
+
 class TestNearSymmetric:
     """DistanceMatrix accepts a matrix symmetric within np.allclose; each
     driver clusters it as it clusters np.minimum(d, d.T)."""
