@@ -299,11 +299,13 @@ class Dendrogram:
         for key in ("n_terminals", "merges"):
             if not isinstance(obj, dict) or key not in obj:
                 raise ValueError(f"tree JSON has no {key!r} key")
-        return cls(
-            n_terminals=int(obj["n_terminals"]),
-            merges=tuple(obj["merges"]),
-            labels=tuple(obj["labels"]) if obj.get("labels") else None,
-        )
+        n, merges, labels = obj["n_terminals"], obj["merges"], obj.get("labels")
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"tree JSON 'n_terminals' is {n!r}, not an integer")
+        for key, value in (("merges", merges), ("labels", [] if labels is None else labels)):
+            if not isinstance(value, list):
+                raise ValueError(f"tree JSON {key!r} is {value!r}, not a list")
+        return cls(n_terminals=n, merges=tuple(merges), labels=tuple(labels) if labels else None)
 
     def to_newick(self) -> str:
         """Newick text with branch lengths = level differences, built

@@ -201,8 +201,9 @@ class SetValuedDistanceTable:
     context: rows[i] is row i's attribute mask w_i, and objects i != j
     are at distance ~(w_i & w_j), within the n_attributes bits.
 
-    The per-pair form is a view, built on first use and only for the
-    readers that list pairs (dist, and genlattice.pairs_for_node).
+    Two views are built on first use: cols, the transposed context that
+    the lattice reads, and the pairs grouped by distance, only for the
+    readers that list pairs (dist, pairs and genlattice.pairs_for_node).
     """
 
     n_attributes: int
@@ -215,30 +216,37 @@ class SetValuedDistanceTable:
         return len(self.rows)
 
     @cached_property
-    def _pair_codes(self) -> tuple:
-        """(masks, codes, i, j): each distinct pair distance once, as an int
-        bitmask, and per pair (i[k], j[k]) in lexicographic order its index in masks."""
+    def cols(self) -> tuple:
+        """One object mask per attribute: bit i of cols[a] is set iff row i holds a."""
+        cols = [0] * self.n_attributes
+        for i, w in enumerate(self.rows):
+            for a in from_mask(w):
+                cols[a] |= 1 << i
+        return tuple(cols)
+
+    @cached_property
+    def _pairs_by_distance(self) -> dict:
+        """{distance mask: its pairs (i, j), i < j, in lexicographic order}."""
         full = (1 << self.n_attributes) - 1
-        index = {}  # distinct masks in first-seen order
-        codes = [index.setdefault(full & ~(a & b), len(index))
-                 for a, b in combinations(self.rows, 2)]
-        i, j = np.triu_indices(self.n, 1)  # the order of combinations
-        return tuple(index), np.array(codes, np.intp), i, j
+        groups = {}
+        for (i, a), (j, b) in combinations(enumerate(self.rows), 2):
+            groups.setdefault(full & ~(a & b), []).append((i, j))
+        return groups
 
     @cached_property
     def dist(self) -> dict:
         """{(i, j): frozenset} for i < j; pairs with one distance share one set."""
-        masks, codes, _, _ = self._pair_codes
-        sets = [frozenset(from_mask(mask)) for mask in masks]
-        return dict(zip(self.pairs(), [sets[c] for c in codes.tolist()]))
+        out = {}
+        for mask, pairs in self._pairs_by_distance.items():
+            out.update(dict.fromkeys(pairs, frozenset(from_mask(mask))))
+        return dict(sorted(out.items()))
 
     def __getitem__(self, ij) -> frozenset:
         i, j = ij
         return self.dist[(min(i, j), max(i, j))]
 
     def pairs(self):
-        _, _, i, j = self._pair_codes
-        return list(zip(i.tolist(), j.tolist()))
+        return list(self.dist)
 
 
 def setvalued_table(data) -> SetValuedDistanceTable:

@@ -5,18 +5,22 @@ semilattice ordered by inclusion and leveled by cardinality.  Level
 clusters at level k are the maximal object sets whose internal pair
 distances all fit inside a single maximal lattice node of level <= k.
 
-Everything is read off the table's row masks w, objects i != j being at
-distance ~(w_i & w_j):
+Objects i != j are at distance ~(w_i & w_j) for row masks w, and all is
+read off one closure operator on attribute sets B.  The extent of B,
+the objects holding all of B, is the AND of the column masks t.cols
+over B; c(B) is the intent of that extent (the attributes all of its
+objects hold) when it has two or more objects, and every attribute
+otherwise.
 
-- Vertices are the complements of meets of two or more rows: a union of
-  distances ~(w_i & w_j) is ~ of the meet of every row involved, and any
-  set of two or more objects is the union of its pairs.
-- Level clusters are concept extents: pair (i, j) is linked within node
-  v iff ~v <= w_i & w_j, so the pairs linked within v are all the pairs
-  of the extent {i : w_i >= ~v}.
-- The strong triangle inequality d(x,z) <= d(x,y) | d(y,z) of a
-  generalized ultrametric holds on every table, as
-  ~(w_x & w_y) | ~(w_y & w_z) = ~(w_x & w_y & w_z) >= ~(w_x & w_z).
+- Vertices are the complements of the closed sets with two or more
+  objects in their extent, as a union of distances ~(w_i & w_j) is ~ of
+  the meet of the rows involved.  NextClosure (Ganter) lists them.
+- The lower covers of vertex v are the maximal sets among the vertices
+  ~c(~v | {x}), x in v, each the largest vertex inside v - {x} (Lindig).
+- Level clusters are extents: pair (i, j) is linked within node v iff
+  ~v <= w_i & w_j, so those pairs are all the pairs of the extent of ~v.
+- The strong triangle inequality d(x,z) <= d(x,y) | d(y,z) holds on
+  every table: ~(w_x & w_y) | ~(w_y & w_z) = ~(w_x & w_y & w_z).
 
 Sets are handled as int bitmasks (see dissim.to_mask) and returned as
 frozensets.
@@ -24,11 +28,8 @@ frozensets.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .dissim import SetValuedDistanceTable, from_mask, to_mask
 
@@ -63,77 +64,78 @@ class Semilattice:
         return frozenset(node) in self._vertex_set
 
 
-def _vertices(t: SetValuedDistanceTable) -> list:
-    """Vertices in order: seen holds the meets of one or more distinct rows
-    met so far, meets those of two or more objects (first, shared rows)."""
-    count = Counter(t.rows)
-    meets = {w for w, c in count.items() if c > 1}
-    seen = set()
-    for w in count:
-        new = {s & w for s in seen}
-        meets |= new
-        seen |= new
-        seen.add(w)
+def _closure(t: SetValuedDistanceTable, b: int) -> tuple:
+    """(c(b), extent of b) for an attribute mask b."""
+    extent = (1 << t.n) - 1
+    for a in from_mask(b):
+        extent &= t.cols[a]
+    if extent.bit_count() < 2:
+        return (1 << t.n_attributes) - 1, extent
+    return to_mask(a for a, col in enumerate(t.cols) if col & extent == extent), extent
+
+
+def _vertices(t: SetValuedDistanceTable) -> dict:
+    """{vertex: extent of its complement} in vertex order, from the closed
+    sets that NextClosure lists in lectic order."""
     full = (1 << t.n_attributes) - 1
-    return sorted((full & ~v for v in meets), key=_mask_key)
-
-
-def _cover_edges(order) -> list:
-    """Covering pairs of the inclusion order on masks listed by size.
-
-    The strict supersets of lo come after it, smaller ones first.  One
-    of them is an upper cover of lo iff no cover found before it lies
-    below it, since any set strictly between lies above such a cover.
-    """
-    edges = []
-    for k, lo in enumerate(order):
-        covers = []
-        for hi in order[k + 1:]:
-            if hi & lo == lo and not any(c & hi == c for c in covers):
-                covers.append(hi)
-        edges.extend((lo, hi) for hi in covers)
-    return edges
+    found = {}
+    b, extent = _closure(t, 0)
+    while True:
+        if extent.bit_count() > 1:
+            found[full & ~b] = extent
+        if b == full:
+            return {v: found[v] for v in sorted(found, key=_mask_key)}
+        for a in reversed(range(t.n_attributes)):
+            bit = 1 << a
+            if b & bit:
+                b ^= bit
+                continue
+            c, extent = _closure(t, b | bit)
+            if c & ~b & (bit - 1) == 0:  # no new attribute below a
+                b = c
+                break
 
 
 def build_lattice(t: SetValuedDistanceTable) -> Semilattice:
     """The distances closed under union, read off as the complements of
-    the row meets, with cover edges."""
-    order = _vertices(t)
-    sets = {v: frozenset(from_mask(v)) for v in order}
-    edges = tuple((sets[lo], sets[hi]) for lo, hi in _cover_edges(order))
-    return Semilattice(tuple(sets.values()), edges)
+    the closed attribute sets, with cover edges."""
+    full = (1 << t.n_attributes) - 1
+    order = list(_vertices(t))
+    index = {v: k for k, v in enumerate(order)}
+    edges = []
+    for hi in order:
+        below = set()
+        for x in from_mask(hi):
+            c, extent = _closure(t, full & ~hi | 1 << x)
+            if extent.bit_count() > 1:
+                below.add(full & ~c)
+        edges.extend((index[lo], index[hi]) for lo in below
+                     if not any(lo != u and lo & u == lo for u in below))
+    sets = [frozenset(from_mask(v)) for v in order]
+    return Semilattice(tuple(sets), tuple((sets[lo], sets[hi]) for lo, hi in sorted(edges)))
 
 
 def pairs_for_node(t: SetValuedDistanceTable, node) -> list:
     """Pairs whose distance set equals the node exactly."""
     mask = to_mask(node)
-    masks, codes, i, j = t._pair_codes
-    inside = [m for m in masks if m & mask == m]
-    union = 0
-    for m in inside:
-        union |= m
-    # a vertex is exactly the union of the observed sets it contains
-    if not inside or union != mask:
+    full = (1 << t.n_attributes) - 1
+    c, extent = _closure(t, full & ~mask)
+    if mask & ~full or c != full & ~mask or extent.bit_count() < 2:
         raise KeyError(f"{sorted(node)} is not a lattice vertex")
-    hit = np.array([m == mask for m in masks], dtype=bool)[codes]
-    return list(zip(i[hit].tolist(), j[hit].tolist()))
+    return list(t._pairs_by_distance.get(mask, ()))
 
 
 def clusters_at_level(t: SetValuedDistanceTable, k: int) -> list:
     """Maximal object sets linked entirely within some maximal lattice
     node of level <= k; dominated sets (including singletons) removed.
 
-    Each maximal node v gives one cluster, the extent {i : w_i >= ~v}.
-    Extents grow with the node (v <= w gives ~w <= ~v), so the maximal
-    extents of all nodes of level <= k are those of the maximal nodes."""
+    Each maximal node v gives one cluster, the extent of ~v.  Extents
+    grow with the node (v <= w gives ~w <= ~v), so the maximal extents
+    of all nodes of level <= k are those of the maximal nodes."""
     if not 0 <= k <= t.n_attributes:
         raise ValueError(f"level {k} out of range 0..{t.n_attributes}")
-    full = (1 << t.n_attributes) - 1
     clusters = {1 << x for x in range(t.n)}
-    for node in _vertices(t):
-        if node.bit_count() <= k:
-            need = full & ~node
-            clusters.add(to_mask(i for i, w in enumerate(t.rows) if w & need == need))
+    clusters.update(e for v, e in _vertices(t).items() if v.bit_count() <= k)
     keep = []
     for c in sorted(clusters, key=int.bit_count, reverse=True):
         if not any(c & d == c for d in keep):

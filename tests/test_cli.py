@@ -355,6 +355,13 @@ class TestCanon:
         ('{"n_terminals": 2}', "tree JSON has no 'merges' key"),
         ("[0, 1]", "tree JSON has no 'n_terminals' key"),
         ('{"n_terminals": 2, "merges": [[0, 1]]}', "merge 1 is [0, 1], expected [a, b, level]"),
+        ('{"n_terminals": 2, "merges": 3}', "tree JSON 'merges' is 3, not a list"),
+        ('{"n_terminals": [2], "merges": [[0, 1, 1.0]]}', "tree JSON 'n_terminals' is [2], not an integer"),
+        ('{"n_terminals": 2.5, "merges": [[0, 1, 1.0]]}', "tree JSON 'n_terminals' is 2.5, not an integer"),
+        ('{"n_terminals": true, "merges": []}', "tree JSON 'n_terminals' is True, not an integer"),
+        ('{"n_terminals": 2, "merges": [[0, 1, 1.0]], "labels": 5}', "tree JSON 'labels' is 5, not a list"),
+        ('{"n_terminals": 2, "merges": [[0, 1, 1.0]], "labels": "ab"}',
+         "tree JSON 'labels' is 'ab', not a list"),
     ])
     def test_malformed_tree_named(self, tmp_path, capsys, tree, message):
         path = tmp_path / "t.json"

@@ -92,8 +92,14 @@ class TestPairsForNode:
         assert pairs_for_node(table, {1, 2}) == [(0, 3), (2, 3)]
 
     def test_unknown_node(self, table):
-        with pytest.raises(KeyError):
-            pairs_for_node(table, {0})
+        # attributes outside the table's three make no vertex either
+        for node in ({0}, {1, 7}, {0, 1, 2, 5}):
+            with pytest.raises(KeyError):
+                pairs_for_node(table, node)
+
+    def test_returns_a_copy(self, table):
+        pairs_for_node(table, {1}).append((3, 4))
+        assert pairs_for_node(table, {1}) == [(0, 2)]
 
     def test_exact_partition_of_pairs(self, rng):
         x = Table((rng.random((7, 3)) > 0.4).astype(float))
@@ -151,22 +157,24 @@ class TestGeneralizedUltrametric:
 
 
 def test_consumers_build_no_dist(rng):
-    # the lattice and the clusters read the row masks only; listing the
-    # pairs of a node builds the pair codes, but no dict of pairs
+    # the lattice and the clusters read the row and column masks only;
+    # listing the pairs of a node groups the pairs by distance, but builds
+    # no dict of pairs
     t = setvalued_table(Table((rng.random((7, 3)) > 0.4).astype(float)))
     lattice = build_lattice(t)
     for k in range(t.n_attributes + 1):
         clusters_at_level(t, k)
-    assert "_pair_codes" not in vars(t)
+    assert "_pairs_by_distance" not in vars(t)
     for v in lattice.vertices:
         pairs_for_node(t, v)
-    assert "_pair_codes" in vars(t)
+    assert "_pairs_by_distance" in vars(t)
     assert "dist" not in vars(t)
 
 
 def test_pipeline_memory_is_linear_in_rows():
     # 4.5 million pairs but at most 256 distinct rows: the lattice and
-    # the level-4 clusters come from the row masks, with no per-pair codes
+    # the level-4 clusters come from the row and column masks, with no
+    # pairs grouped by distance
     x = Table((np.random.default_rng(5).random((3000, 8)) < 0.6).astype(float))
     tracemalloc.start()
     try:
@@ -219,6 +227,79 @@ def oracle_union_closure(masks) -> list:
     for g in masks:
         family |= {g} | {f | g for f in family}
     return sorted(family, key=_mask_key)
+
+
+def oracle_meet_closure(t) -> list:
+    """Vertices as the complements of the meets of two or more rows, in
+    vertex order: seen holds the meets of one or more distinct rows met
+    so far, meets those of two or more objects (first, shared rows)."""
+    count = Counter(t.rows)
+    meets = {w for w, c in count.items() if c > 1}
+    seen = set()
+    for w in count:
+        new = {s & w for s in seen}
+        meets |= new
+        seen |= new
+        seen.add(w)
+    full = (1 << t.n_attributes) - 1
+    return sorted((full & ~v for v in meets), key=_mask_key)
+
+
+def oracle_cover_edges(order) -> list:
+    """Covering pairs of the inclusion order on masks listed by size.
+
+    The strict supersets of lo come after it, smaller ones first.  One
+    of them is an upper cover of lo iff no cover found before it lies
+    below it, since any set strictly between lies above such a cover.
+    """
+    edges = []
+    for k, lo in enumerate(order):
+        covers = []
+        for hi in order[k + 1:]:
+            if hi & lo == lo and not any(c & hi == c for c in covers):
+                covers.append(hi)
+        edges.extend((lo, hi) for hi in covers)
+    return edges
+
+
+def oracle_extent_clusters(t, order, k) -> list:
+    """Level clusters from the extent {i : w_i >= ~v} of every vertex v of
+    level <= k, one loop over the rows each, dominated sets removed."""
+    full = (1 << t.n_attributes) - 1
+    clusters = {1 << x for x in range(t.n)}
+    for node in order:
+        if node.bit_count() <= k:
+            need = full & ~node
+            clusters.add(to_mask(i for i, w in enumerate(t.rows) if w & need == need))
+    keep = []
+    for c in sorted(clusters, key=int.bit_count, reverse=True):
+        if not any(c & d == c for d in keep):
+            keep.append(c)
+    return [frozenset(from_mask(c)) for c in sorted(keep, key=_mask_key)]
+
+
+class OraclePairScan:
+    """Pairs of a node by a scan over codes of all n(n-1)/2 pairs; a node
+    is a vertex iff it is the union of the observed distances it holds."""
+
+    def __init__(self, t):
+        full = (1 << t.n_attributes) - 1
+        index = {}  # distinct masks in first-seen order
+        self.codes = np.array([index.setdefault(full & ~(a & b), len(index))
+                               for a, b in combinations(t.rows, 2)], np.intp)
+        self.masks = tuple(index)
+        self.i, self.j = np.triu_indices(t.n, 1)  # the order of combinations
+
+    def __call__(self, node) -> list:
+        mask = to_mask(node)
+        inside = [m for m in self.masks if m & mask == m]
+        union = 0
+        for m in inside:
+            union |= m
+        if not inside or union != mask:
+            raise KeyError(f"{sorted(node)} is not a lattice vertex")
+        hit = np.array([m == mask for m in self.masks], dtype=bool)[self.codes]
+        return list(zip(self.i[hit].tolist(), self.j[hit].tolist()))
 
 
 def oracle_clusters(t, vertices, k):
@@ -331,6 +412,7 @@ def assert_union_closure(x):
     t = setvalued_table(Table(np.asarray(x, dtype=float)))
     vertices = [to_mask(v) for v in build_lattice(t).vertices]
     assert vertices == oracle_union_closure(oracle_distances(t))
+    assert vertices == oracle_meet_closure(t)
     return vertices
 
 
@@ -356,6 +438,41 @@ def test_meet_closure_equals_union_closure(rows):
 ])
 def test_meet_closure_pinned(x, count):
     assert len(assert_union_closure(x)) == count
+
+
+def _with_row_twice(x):
+    return np.vstack([x, x[:1]])
+
+
+# tables too large for the exhaustive frozenset oracles
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(3).random((300, 10)) < 0.3,
+    np.random.default_rng(4).random((300, 10)) < 0.5,
+    np.random.default_rng(5).random((300, 10)) < 0.7,
+    _with_row_twice(np.random.default_rng(6).random((299, 10)) < 0.6),
+    _with_row_twice(np.random.default_rng(7).random((40, 12)) < 0.5),
+])
+def test_closure_equals_mask_oracles(x):
+    t = setvalued_table(Table(x.astype(float)))
+    order = oracle_meet_closure(t)
+    lattice = build_lattice(t)
+    assert [to_mask(v) for v in lattice.vertices] == order
+    assert [(to_mask(lo), to_mask(hi)) for lo, hi in lattice.edges] == oracle_cover_edges(order)
+    for k in range(t.n_attributes + 1):
+        assert clusters_at_level(t, k) == oracle_extent_clusters(t, order, k)
+    scan = OraclePairScan(t)
+    for v in lattice.vertices:
+        assert pairs_for_node(t, v) == scan(v)
+    # nodes that may be no vertex: the empty set, one attribute off a
+    # vertex, and one with an attribute outside the table
+    others = [frozenset()] + [node for v in lattice.vertices[::7]
+                              for node in (v ^ {0}, v | {t.n_attributes})]
+    for node in others:
+        if node not in lattice:
+            with pytest.raises(KeyError):
+                scan(node)
+            with pytest.raises(KeyError):
+                pairs_for_node(t, node)
 
 
 @settings(max_examples=100, deadline=None)
