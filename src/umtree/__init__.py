@@ -39,6 +39,7 @@ from .haar import (
 from .linkage import (
     MergeCriterion,
     lance_williams_update,
+    mst_cluster,
     naive_cluster,
     nn_chain_cluster,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "euclidean_matrix",
     "setvalued_table",
     "load_csv",
+    "mst_cluster",
     "naive_cluster",
     "nn_chain_cluster",
     "lance_williams_update",

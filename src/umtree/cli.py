@@ -88,7 +88,9 @@ def cmd_cluster(args) -> int:
     table = load_csv(args.input, columns=args.columns)
     crit = linkage.MergeCriterion(args.criterion)
     m = euclidean_matrix(table)
-    if crit.reducible:
+    if crit is linkage.MergeCriterion.SINGLE:
+        dend = linkage.mst_cluster(m, labels=table.row_labels)
+    elif crit.reducible:
         dend = linkage.nn_chain_cluster(m, crit, labels=table.row_labels)
     else:
         dend = linkage.naive_cluster(m, crit, labels=table.row_labels)

@@ -352,17 +352,74 @@ def cophenetic_matrix(dend: Dendrogram) -> DistanceMatrix:
     return DistanceMatrix(d)
 
 
+# -- minimum spanning tree and subdominant ultrametric ----------------------
+
+
+def _prim(d):
+    """Prim's minimum spanning tree of the complete graph on a distance
+    matrix, grown from terminal 0 in n - 1 steps of one row update each.
+
+    Returns (order, parent, weight) as lists: order[k] is the k-th
+    terminal to join, through an edge of length weight[k] to the tree
+    terminal parent[k]; order[0] = 0, with parent -1 and weight 0.0.
+    Among equally near terminals the smallest id joins first, and a
+    terminal's parent is the earliest joined of its equally near tree
+    terminals.
+    """
+    n = d.shape[0]
+    near = np.zeros(n, dtype=int)  # the tree terminal nearest to each terminal
+    dist = d[0].copy()  # its distance; inf once the terminal is in the tree
+    dist[0] = np.inf
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
+    order, parent, weight = [0], [-1], [0.0]
+    for _ in range(n - 1):
+        v = int(dist.argmin())  # the first minimum: the smallest id
+        order.append(v)
+        parent.append(int(near[v]))
+        weight.append(float(dist[v]))
+        dist[v] = np.inf
+        outside[v] = False
+        row = d[v]
+        closer = (row < dist) & outside  # strict: an earlier parent keeps a tie
+        dist[closer] = row[closer]
+        near[closer] = v
+    return order, parent, weight
+
+
+def _subdominant(d) -> np.ndarray:
+    """The subdominant ultrametric of d, the largest ultrametric below it:
+    s(x, y) is the longest edge on the minimum spanning tree path from x
+    to y.  Filled in Prim order, so each joining terminal copies its
+    parent's row over the terminals already in the tree.  Every entry is
+    an entry of d, so s is exact."""
+    order, parent, weight = _prim(d)
+    order = np.array(order)
+    s = np.zeros_like(d)
+    for k in range(1, len(order)):
+        v, inside = order[k], order[:k]
+        s[v, inside] = s[inside, v] = np.maximum(s[parent[k], inside], weight[k])
+    return s
+
+
 # -- metric / ultrametric verification -------------------------------------
 
 
-def _violations(m, tol: float, ultra: bool):
+def _checked_tol(tol) -> float:
+    tol = float(tol)
+    if tol != tol:
+        raise ValueError(f"tolerance {tol!r} is not a number")
+    return tol
+
+
+def _violations(d, tol: float, ultra: bool):
     """Triples i < j < k, in lexicographic order, whose slack exceeds tol.
 
-    One numpy pass per pivot i over all pairs j < k above it.  The sides'
-    min, median and max are picked with np.minimum/np.maximum, so the
-    slack is the same float as from sorting the three sides.
+    d is a validated distance matrix (see _as_matrix).  One numpy pass
+    per pivot i over all pairs j < k above it.  The sides' min, median
+    and max are picked with np.minimum/np.maximum, so the slack is the
+    same float as from sorting the three sides.
     """
-    d = _as_matrix(m)
     n = d.shape[0]
     out = []
     for i in range(n - 2):
@@ -387,13 +444,29 @@ def verify_ultrametric(m, tol: float = 0.0):
     Returns (i, j, k, slack) for i < j < k in lexicographic order.  Empty
     iff d(x,z) <= max(d(x,y), d(y,z)) + tol for all triples,
     equivalently: the two largest sides of every triangle agree to tol.
+    A NaN tol raises ValueError.
+
+    Valid input is certified in O(n^2) by the subdominant ultrametric s
+    (see _subdominant): if d - s <= tol everywhere, the list is empty,
+    and the O(n^3) triple pass runs only otherwise.  The certificate is
+    exact in floating point: for the longest side d(x,z) of a triangle,
+    s(x,z) <= max(s(x,y), s(y,z)) <= the middle side, and rounding is
+    monotone, so no slack can exceed the largest d - s.
     """
-    return _violations(m, tol, ultra=True)
+    tol = _checked_tol(tol)
+    d = _as_matrix(m)
+    n = d.shape[0]
+    if tol >= 0 and n > 2:  # d - s is 0 on the diagonal: tol < 0 never passes
+        s = _subdominant(d)
+        if all((d[rows] - s[rows]).max() <= tol for rows in _row_blocks(n)):
+            return []
+    return _violations(d, tol, ultra=True)
 
 
 def verify_metric(m, tol: float = 0.0):
     """Triples violating the plain triangle inequality, with slack.
 
-    Returns (i, j, k, slack) for i < j < k in lexicographic order.
+    Returns (i, j, k, slack) for i < j < k in lexicographic order.  A
+    NaN tol raises ValueError.
     """
-    return _violations(m, tol, ultra=False)
+    return _violations(_as_matrix(m), _checked_tol(tol), ultra=False)

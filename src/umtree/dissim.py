@@ -201,9 +201,10 @@ class SetValuedDistanceTable:
     context: rows[i] is row i's attribute mask w_i, and objects i != j
     are at distance ~(w_i & w_j), within the n_attributes bits.
 
-    Two views are built on first use: cols, the transposed context that
-    the lattice reads, and the pairs grouped by distance, only for the
-    readers that list pairs (dist, pairs and genlattice.pairs_for_node).
+    Three views are built on first use, at most once per table: cols,
+    the transposed context; the closed attribute sets, which genlattice
+    reads; and the pairs grouped by distance, only for the readers that
+    list pairs (dist, pairs and genlattice.pairs_for_node).
     """
 
     n_attributes: int
@@ -223,6 +224,40 @@ class SetValuedDistanceTable:
             for a in from_mask(w):
                 cols[a] |= 1 << i
         return tuple(cols)
+
+    def _closure(self, b: int) -> tuple:
+        """(c(b), extent of b) for an attribute mask b: the extent is the
+        objects holding all of b, and c(b) the attributes all of them
+        hold, or every attribute when fewer than two objects do."""
+        extent = (1 << self.n) - 1
+        for a in from_mask(b):
+            extent &= self.cols[a]
+        if extent.bit_count() < 2:
+            return (1 << self.n_attributes) - 1, extent
+        return to_mask(a for a, col in enumerate(self.cols) if col & extent == extent), extent
+
+    @cached_property
+    def _closed_sets(self) -> dict:
+        """{closed set: its extent} for the closed sets of _closure whose
+        extent has two or more objects, in the lectic order that
+        NextClosure (Ganter) lists them."""
+        full = (1 << self.n_attributes) - 1
+        found = {}
+        b, extent = self._closure(0)
+        while True:
+            if extent.bit_count() > 1:
+                found[b] = extent
+            if b == full:
+                return found
+            for a in reversed(range(self.n_attributes)):
+                bit = 1 << a
+                if b & bit:
+                    b ^= bit
+                    continue
+                c, extent = self._closure(b | bit)
+                if c & ~b & (bit - 1) == 0:  # no new attribute below a
+                    b = c
+                    break
 
     @cached_property
     def _pairs_by_distance(self) -> dict:

@@ -10,7 +10,8 @@ read off one closure operator on attribute sets B.  The extent of B,
 the objects holding all of B, is the AND of the column masks t.cols
 over B; c(B) is the intent of that extent (the attributes all of its
 objects hold) when it has two or more objects, and every attribute
-otherwise.
+otherwise.  The table holds this operator and lists its closed sets
+once (SetValuedDistanceTable._closure and ._closed_sets).
 
 - Vertices are the complements of the closed sets with two or more
   objects in their extent, as a union of distances ~(w_i & w_j) is ~ of
@@ -64,49 +65,17 @@ class Semilattice:
         return frozenset(node) in self._vertex_set
 
 
-def _closure(t: SetValuedDistanceTable, b: int) -> tuple:
-    """(c(b), extent of b) for an attribute mask b."""
-    extent = (1 << t.n) - 1
-    for a in from_mask(b):
-        extent &= t.cols[a]
-    if extent.bit_count() < 2:
-        return (1 << t.n_attributes) - 1, extent
-    return to_mask(a for a, col in enumerate(t.cols) if col & extent == extent), extent
-
-
-def _vertices(t: SetValuedDistanceTable) -> dict:
-    """{vertex: extent of its complement} in vertex order, from the closed
-    sets that NextClosure lists in lectic order."""
-    full = (1 << t.n_attributes) - 1
-    found = {}
-    b, extent = _closure(t, 0)
-    while True:
-        if extent.bit_count() > 1:
-            found[full & ~b] = extent
-        if b == full:
-            return {v: found[v] for v in sorted(found, key=_mask_key)}
-        for a in reversed(range(t.n_attributes)):
-            bit = 1 << a
-            if b & bit:
-                b ^= bit
-                continue
-            c, extent = _closure(t, b | bit)
-            if c & ~b & (bit - 1) == 0:  # no new attribute below a
-                b = c
-                break
-
-
 def build_lattice(t: SetValuedDistanceTable) -> Semilattice:
     """The distances closed under union, read off as the complements of
     the closed attribute sets, with cover edges."""
     full = (1 << t.n_attributes) - 1
-    order = list(_vertices(t))
+    order = sorted((full & ~b for b in t._closed_sets), key=_mask_key)
     index = {v: k for k, v in enumerate(order)}
     edges = []
     for hi in order:
         below = set()
         for x in from_mask(hi):
-            c, extent = _closure(t, full & ~hi | 1 << x)
+            c, extent = t._closure(full & ~hi | 1 << x)
             if extent.bit_count() > 1:
                 below.add(full & ~c)
         edges.extend((index[lo], index[hi]) for lo in below
@@ -119,7 +88,7 @@ def pairs_for_node(t: SetValuedDistanceTable, node) -> list:
     """Pairs whose distance set equals the node exactly."""
     mask = to_mask(node)
     full = (1 << t.n_attributes) - 1
-    c, extent = _closure(t, full & ~mask)
+    c, extent = t._closure(full & ~mask)
     if mask & ~full or c != full & ~mask or extent.bit_count() < 2:
         raise KeyError(f"{sorted(node)} is not a lattice vertex")
     return list(t._pairs_by_distance.get(mask, ()))
@@ -135,7 +104,8 @@ def clusters_at_level(t: SetValuedDistanceTable, k: int) -> list:
     if not 0 <= k <= t.n_attributes:
         raise ValueError(f"level {k} out of range 0..{t.n_attributes}")
     clusters = {1 << x for x in range(t.n)}
-    clusters.update(e for v, e in _vertices(t).items() if v.bit_count() <= k)
+    # vertex ~b has level n_attributes - |b|
+    clusters.update(e for b, e in t._closed_sets.items() if t.n_attributes - b.bit_count() <= k)
     keep = []
     for c in sorted(clusters, key=int.bit_count, reverse=True):
         if not any(c & d == c for d in keep):

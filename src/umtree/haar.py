@@ -161,8 +161,8 @@ def threshold_regress(ht: HaarTransform, tau: float, per_coordinate: bool = Fals
     per_coordinate applies the threshold to individual entries instead of
     the Euclidean norm of each detail vector.
     """
-    if tau < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not tau >= 0:  # also NaN
+        raise ValueError(f"threshold {tau!r} must be nonnegative")
     d = ht.details
     small = np.abs(d) < tau if per_coordinate else (_row_norms(d) < tau)[:, None]
     return replace(ht, details=np.where(small, 0.0, d))

@@ -1,17 +1,20 @@
 """Hierarchical agglomerative clustering.
 
-Two drivers produce identical dendrograms for reducible criteria when
-no two candidate merges tie:
+Three drivers produce identical dendrograms when no two candidate
+merges tie (Muellner, arXiv:1109.2378, picks one per criterion):
 
-* naive_cluster -- repeatedly merge the globally closest pair, found
-  from cached nearest neighbours: O(n^2) typically, O(n^3) at worst.
+* mst_cluster -- single linkage only, O(n^2): Prim's minimum spanning
+  tree, its edges joined in order of length.
 * nn_chain_cluster -- O(n^2): follow nearest-neighbor chains and merge
   reciprocal nearest neighbors; valid only for reducible criteria
   (single, complete, average, ward).
+* naive_cluster -- repeatedly merge the globally closest pair, found
+  from cached nearest neighbours: O(n^2) typically, O(n^3) at worst;
+  any criterion, and the only one for median.
 
-Both run one loop on an n x n matrix: a merge writes the new cluster
-into the slot of one child and retires the other's.  Cluster-update
-arithmetic is the Lance-Williams recurrence.  Ward and median operate
+The last two run one loop on an n x n matrix: a merge writes the new
+cluster into the slot of one child and retires the other's.
+Cluster-update arithmetic is the Lance-Williams recurrence.  Ward and median operate
 on squared input distances and report merge levels as the square root
 of the merge cost, so levels stay commensurate with the input
 distances.  Median is not reducible and is rejected by the chain
@@ -26,8 +29,11 @@ naive_cluster merges the lexicographically smallest (min id, max id)
 among equally close pairs.  nn_chain_cluster starts each chain at the
 smallest live id and, among equally near neighbours, steps to the
 smallest id; on tied data it can build a different tree from
-naive_cluster.  Each merge lists the smaller cluster id as the left
-child.
+naive_cluster.  mst_cluster grows the tree from terminal 0, adding the
+smallest id among equally near terminals, and joins equal edges in the
+order Prim added them; on tied data its tree can differ from the
+others, but the partition at every level cannot.  Each merge lists the
+smaller cluster id as the left child.
 """
 
 from __future__ import annotations
@@ -38,11 +44,12 @@ from enum import Enum
 
 import numpy as np
 
-from .dendrogram import Dendrogram, _as_matrix, _overflow_named
+from .dendrogram import Dendrogram, _as_matrix, _overflow_named, _prim
 
 __all__ = [
     "MergeCriterion",
     "lance_williams_update",
+    "mst_cluster",
     "naive_cluster",
     "nn_chain_cluster",
 ]
@@ -105,6 +112,12 @@ def _lw_row(d_i, d_j, d_ij, sizes_all, n_i, n_j, crit):
     return 0.5 * d_i + 0.5 * d_j - 0.25 * d_ij
 
 
+def _checked_n(d) -> int:
+    if d.shape[0] < 2:
+        raise ValueError("need at least 2 observations")
+    return d.shape[0]
+
+
 class _Clusters:
     """The live clusters of one run, held in n slots of an n x n matrix.
 
@@ -117,9 +130,7 @@ class _Clusters:
 
     def __init__(self, m, crit):
         d = _as_matrix(m)  # exactly symmetric
-        self.n = n = d.shape[0]
-        if n < 2:
-            raise ValueError("need at least 2 observations")
+        self.n = n = _checked_n(d)
         with _overflow_named(f"{crit.value} linkage squares the distances, "
                              "and a distance above 1.34e154 overflows float64"):
             self.d = d**2 if crit.squared else d.copy()
@@ -248,3 +259,31 @@ def nn_chain_cluster(m, crit, labels=None) -> Dendrogram:
             else:
                 chain.append(y)
     return _finish(c.n, c.raw, crit, labels)
+
+
+def mst_cluster(m, labels=None) -> Dendrogram:
+    """O(n^2) single linkage from Prim's minimum spanning tree.
+
+    The single-link merges are the tree's edges taken by length, ties in
+    the order Prim added them, each joining the two clusters that hold
+    its ends (found with union-find); so the cophenetic distances are the
+    subdominant ultrametric of m.
+    """
+    d = _as_matrix(m)
+    n = _checked_n(d)
+    order, parent, weight = _prim(d)
+    root = list(range(n))  # union-find forest over terminals
+    cluster = list(range(n))  # the cluster id held by each root terminal
+
+    def find(t):
+        while root[t] != t:
+            root[t] = t = root[root[t]]
+        return t
+
+    raw = []
+    for k in sorted(range(1, n), key=weight.__getitem__):  # stable: Prim order on ties
+        a, b = find(order[k]), find(parent[k])
+        raw.append((cluster[a], cluster[b], weight[k]))
+        root[a] = b
+        cluster[b] = n + len(raw) - 1
+    return _finish(n, raw, MergeCriterion.SINGLE, labels)

@@ -213,6 +213,15 @@ class TestWavelet:
         rows = {line for line in out.read_text().splitlines()[1:]}
         assert len(rows) == 1  # every row collapsed to the smooth
 
+    def test_regress_nan_tau_is_data_error(self, tmp_path, iris_csv, dend_json, capsys):
+        out = tmp_path / "smoothed.csv"
+        assert main([
+            "wavelet", "regress", "--dend", str(dend_json),
+            "--data", str(iris_csv), "--tau", "nan", "--out", str(out),
+        ]) == 2
+        assert "threshold nan" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPadic:
     def test_codes_json(self, tmp_path, dend_json):

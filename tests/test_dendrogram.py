@@ -204,6 +204,13 @@ class TestVerify:
         d = random_dendrogram(rng, 12)
         assert verify_metric(cophenetic_matrix(d), tol=1e-12) == []
 
+    @pytest.mark.parametrize("verify", [verify_ultrametric, verify_metric])
+    def test_nan_tolerance_rejected(self, verify):
+        # slack > nan is always False, so a NaN tol passed every matrix
+        m = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], float)
+        with pytest.raises(ValueError, match="tolerance nan"):
+            verify(m, tol=float("nan"))
+
     def test_violations_sorted(self):
         m = np.full((4, 4), 5.0)
         np.fill_diagonal(m, 0.0)

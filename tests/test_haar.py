@@ -212,6 +212,12 @@ class TestThresholdRegress:
         with pytest.raises(ValueError):
             threshold_regress(ht, -1.0)
 
+    def test_nan_tau_rejected(self):
+        # every norm < nan is False, so a NaN tau zeroed nothing
+        _, _, ht = iris_transform()
+        with pytest.raises(ValueError, match="threshold nan"):
+            threshold_regress(ht, float("nan"))
+
 
 class TestApplyToSignal:
     def test_identity_on_own_data(self):

@@ -1,4 +1,4 @@
-"""Both linkage drivers and the cophenetic matrix against
+"""The linkage drivers and the cophenetic matrix against
 scipy.cluster.hierarchy on untied data (normal rows, so no two distances
 tie).  scipy is a test oracle only; without it these tests are skipped.
 """
@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
 from scipy.spatial.distance import pdist, squareform  # noqa: E402
 
-from umtree import cophenetic_matrix, euclidean_matrix, naive_cluster, nn_chain_cluster  # noqa: E402
+from umtree import (  # noqa: E402
+    cophenetic_matrix,
+    euclidean_matrix,
+    mst_cluster,
+    naive_cluster,
+    nn_chain_cluster,
+)
 
 TOL = 1e-9
 
@@ -39,6 +45,15 @@ def assert_cophenetic(dend, z):
 def test_nn_chain_heights_and_cophenetic(crit, x):
     dend = nn_chain_cluster(euclidean_matrix(x), crit)
     z = hierarchy.linkage(pdist(x), crit)
+    np.testing.assert_allclose(levels(dend), z[:, 2], rtol=TOL, atol=TOL)
+    assert_cophenetic(dend, z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=untied())
+def test_mst_heights_and_cophenetic(x):
+    dend = mst_cluster(euclidean_matrix(x))
+    z = hierarchy.linkage(pdist(x), "single")
     np.testing.assert_allclose(levels(dend), z[:, 2], rtol=TOL, atol=TOL)
     assert_cophenetic(dend, z)
 
