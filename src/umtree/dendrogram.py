@@ -88,6 +88,15 @@ class DistanceMatrix:
             raise ValueError("diagonal must be zero")
         object.__setattr__(self, "values", v if exact else np.minimum(v, v.T))
 
+    @classmethod
+    def _trusted(cls, v):
+        """Wrap v without the checks: for the library's own results,
+        finite, exactly symmetric, nonnegative and zero on the diagonal
+        by construction."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "values", v)
+        return self
+
     @property
     def n(self) -> int:
         return self.values.shape[0]
@@ -349,7 +358,7 @@ def cophenetic_matrix(dend: Dendrogram) -> DistanceMatrix:
     pos = lay.lo[:n]
     for rows in _row_blocks(n):
         d[rows] = d[rows, pos]
-    return DistanceMatrix(d)
+    return DistanceMatrix._trusted(d)
 
 
 # -- minimum spanning tree and subdominant ultrametric ----------------------

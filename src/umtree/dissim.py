@@ -165,7 +165,7 @@ def euclidean_matrix(data) -> DistanceMatrix:
                 np.sqrt(out, out=out)
     finally:
         np.setbufsize(old)
-    return DistanceMatrix(d)
+    return DistanceMatrix._trusted(d)
 
 
 def to_mask(attributes) -> int:

@@ -12,9 +12,11 @@ merges tie (Muellner, arXiv:1109.2378, picks one per criterion):
   from cached nearest neighbours: O(n^2) typically, O(n^3) at worst;
   any criterion, and the only one for median.
 
-The last two run one loop on an n x n matrix: a merge writes the new
-cluster into the slot of one child and retires the other's.
-Cluster-update arithmetic is the Lance-Williams recurrence.  Ward and median operate
+The last two keep their L live clusters in slots 0..L-1 of one n x n
+matrix: a merge writes the new cluster into the lower slot of its two
+children and moves the cluster in slot L-1 into the higher one, so every
+scan and every column write covers L entries, not n.  Cluster-update
+arithmetic is the Lance-Williams recurrence.  Ward and median operate
 on squared input distances and report merge levels as the square root
 of the merge cost, so levels stay commensurate with the input
 distances.  Median is not reducible and is rejected by the chain
@@ -119,18 +121,20 @@ def _checked_n(d) -> int:
 
 
 class _Clusters:
-    """The live clusters of one run, held in n slots of an n x n matrix.
+    """The live clusters of one run, as a shrinking block of an n x n matrix.
 
-    Slot s holds cluster ids[s]: terminal t starts in slot t, and the
-    k-th merge (k = 0, 1, ...) creates cluster n + k in the slot of its
-    first child.  The diagonal and the rows and columns of retired slots
-    hold inf, and a retired slot holds the id 2n, so scans read d and ids
-    as they are: ids.argmin() is the smallest live id.
+    While L clusters are live they fill slots 0..L-1 (self.live is L):
+    slot s holds cluster ids[s] of sizes[s] terminals, and row and
+    column s of d hold its distances to the other live clusters, with
+    d[s, s] = inf.  Terminal t starts in slot t, and the k-th merge
+    (k = 0, 1, ...) creates cluster n + k.  Nothing outside the block is
+    read again, so scans read d[x, :L] and ids[:L] as they are:
+    ids[:L].argmin() is the smallest live id.
     """
 
     def __init__(self, m, crit):
         d = _as_matrix(m)  # exactly symmetric
-        self.n = n = _checked_n(d)
+        self.n = self.live = n = _checked_n(d)
         with _overflow_named(f"{crit.value} linkage squares the distances, "
                              "and a distance above 1.34e154 overflows float64"):
             self.d = d**2 if crit.squared else d.copy()
@@ -141,18 +145,32 @@ class _Clusters:
         self.raw = []
 
     def merge(self, a, b):
-        """Merge the clusters in slots a and b into slot a; retire slot b."""
-        d, sizes = self.d, self.sizes
-        cost = float(d[a, b])
-        # retired columns stay inf: each rule maps (inf, inf) to inf
-        row = _lw_row(d[a], d[b], cost, sizes, sizes[a], sizes[b], self.crit)
-        row[a] = row[b] = np.inf
-        d[a] = d[:, a] = row
-        d[b] = d[:, b] = np.inf
-        sizes[a] += sizes[b]
-        self.raw.append((int(self.ids[a]), int(self.ids[b]), cost))
-        self.ids[a] = self.n + len(self.raw) - 1
-        self.ids[b] = 2 * self.n
+        """Merge the clusters in slots a and b into slot lo = min(a, b),
+        move slot L-1 into slot hi = max(a, b), and return hi.
+
+        lo < hi <= L-1, so the new cluster never moves: only a reference
+        to slot L-1 can go stale, and it now means slot hi (when hi is
+        L-1 nothing moves, and slot hi just leaves the block).
+        """
+        d, ids, sizes = self.d, self.ids, self.sizes
+        lo, hi = min(a, b), max(a, b)
+        n_live = self.live
+        cost = float(d[lo, hi])
+        row = _lw_row(d[lo, :n_live], d[hi, :n_live], cost, sizes[:n_live],
+                      sizes[lo], sizes[hi], self.crit)
+        row[lo] = np.inf
+        d[lo, :n_live] = d[:n_live, lo] = row
+        sizes[lo] += sizes[hi]
+        self.raw.append((int(ids[lo]), int(ids[hi]), cost))
+        ids[lo] = self.n + len(self.raw) - 1
+        self.live = last = n_live - 1
+        if hi != last:
+            d[hi, :last] = d[last, :last]
+            d[:last, hi] = d[:last, last]
+            d[hi, hi] = np.inf
+            ids[hi] = ids[last]
+            sizes[hi] = sizes[last]
+        return hi
 
 
 def _updates_named(crit):
@@ -201,8 +219,8 @@ def naive_cluster(m, crit, labels=None) -> Dendrogram:
     cached nearest neighbour (Muellner's generic algorithm, without the
     heap): O(n^2) on typical data, O(n^3) at worst; any criterion.
 
-    dmin[s] and nn[s] are the smallest live entry of row s and its
-    column, the smallest id on ties; retired slots hold dmin = inf.
+    dmin[s] and nn[s] are the smallest entry of live row s and its
+    column, the smallest id on ties, and they move with their slot.
     Both members of every closest pair have dmin at the minimum, so the
     smallest-id row r there and nn[r] are the lexicographically smallest
     (min id, max id) closest pair.  After a merge only the new row and
@@ -217,20 +235,27 @@ def naive_cluster(m, crit, labels=None) -> Dendrogram:
     nn = d.argmin(axis=1)  # slots equal ids, so the first minimum is the smallest id
     dmin = d[np.arange(c.n), nn]
     with _updates_named(crit):
-        for _ in range(c.n - 1):
-            hits = np.flatnonzero(dmin == dmin.min())
+        while c.live > 1:
+            live = c.live
+            hits = np.flatnonzero(dmin[:live] == dmin[:live].min())
             a = int(hits[ids[hits].argmin()])
             b = int(nn[a])
-            c.merge(a, b)
-            dmin[b] = np.inf
-            # live rows that pointed at a child; a itself, as nn[a] == b
-            rows = np.flatnonzero((dmin < np.inf) & ((nn == a) | (nn == b)))
-            col = d[a]  # column a, read as the equal row
-            nn[col < dmin] = a
-            np.minimum(dmin, col, out=dmin)
-            sub = d[rows]
+            # rows that pointed at a child, both children among them: nn[a] == b,
+            # and a is the smallest id at distance dmin[a] from b, so nn[b] == a
+            stale = (nn[:live] == a) | (nn[:live] == b)
+            hi = c.merge(a, b)
+            lo, last = min(a, b), c.live
+            if hi != last:  # slot last moved into slot hi
+                dmin[hi], nn[hi], stale[hi] = dmin[last], nn[last], stale[last]
+                nn[:last][nn[:last] == last] = hi
+            col = d[lo, :last]  # column lo, read as the equal row
+            nn[:last][col < dmin[:last]] = lo
+            np.minimum(dmin[:last], col, out=dmin[:last])
+            rows = np.flatnonzero(stale[:last])
+            sub = d[rows, :last]
             dmin[rows] = low = sub.min(axis=1)
-            nn[rows] = np.where(sub == low[:, None], ids, 2 * c.n).argmin(axis=1)
+            # the smallest id among each row's minima; every id is below 2n
+            nn[rows] = np.where(sub == low[:, None], ids[:last], 2 * c.n).argmin(axis=1)
     return _finish(c.n, c.raw, crit, labels)
 
 
@@ -244,18 +269,27 @@ def nn_chain_cluster(m, crit, labels=None) -> Dendrogram:
     c = _Clusters(m, crit)
     d, ids = c.d, c.ids
     chain = []
+    # numpy keeps freed blocks of up to 1 KB cached by size, so a new mask
+    # of each length L would stay allocated: reuse one
+    tie = np.empty(c.n, bool)
     with _updates_named(crit):
-        while len(c.raw) < c.n - 1:
+        while c.live > 1:
+            live = c.live
             if not chain:
-                chain.append(int(ids.argmin()))  # the smallest live id
+                chain.append(int(ids[:live].argmin()))  # the smallest live id
             x = chain[-1]
-            row = d[x]
-            hits = np.flatnonzero(row == row.min())
-            y = int(hits[ids[hits].argmin()])  # the smallest id on ties
+            row = d[x, :live]
+            y = int(row.argmin())
+            tied = np.equal(row, row[y], out=tie[:live])
+            if np.count_nonzero(tied) > 1:
+                hits = np.flatnonzero(tied)
+                y = int(hits[ids[hits].argmin()])  # the smallest id on ties
             if len(chain) >= 2 and y == chain[-2]:
                 chain.pop()
                 chain.pop()
-                c.merge(x, y)
+                hi = c.merge(x, y)
+                if c.live in chain:  # slot L-1 moved into slot hi
+                    chain[chain.index(c.live)] = hi
             else:
                 chain.append(y)
     return _finish(c.n, c.raw, crit, labels)

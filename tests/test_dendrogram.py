@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umtree import (
     Dendrogram,
@@ -141,6 +143,24 @@ class TestCophenetic:
                 ]
                 lowest = min(common, key=d.level)
                 assert cophenetic_distance(d, i, j) == d.level(lowest)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+        levels=st.lists(st.floats(0, 1e300), min_size=39, max_size=39),
+    )
+    def test_matrix_passes_the_checks(self, n, seed, levels):
+        # the result skips DistanceMatrix's checks, so it must pass them by
+        # construction: finite, exactly symmetric, nonnegative, zero diagonal
+        tree = random_dendrogram(np.random.default_rng(seed), n)
+        levels = sorted(levels[: n - 1])  # ties and zeros included
+        tree = Dendrogram(n, tuple((a, b, lev) for (a, b, _), lev in zip(tree.merges, levels)))
+        d = cophenetic_matrix(tree).values
+        assert np.isfinite(d).all()
+        assert np.array_equal(d, d.T)
+        assert (d >= 0).all()
+        assert not np.diag(d).any()
+        assert DistanceMatrix(d).values is d  # kept as it is: no repair needed
 
     def test_zero_iff_equal(self, rng):
         d = random_dendrogram(rng, 12)

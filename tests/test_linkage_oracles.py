@@ -254,9 +254,64 @@ def large_tables(draw):
 @settings(max_examples=30, deadline=None)
 @given(large_tables())
 def test_naive_equals_oracle_large(x):
+    # both drivers, on blocks large enough for long chains and many slot moves
     m = euclidean_matrix(x)
     for crit in ("median", "complete"):
         assert_same(checked_naive_cluster(m, crit), oracle_naive_cluster(m, crit))
+    for crit in ("ward", "average", "complete"):
+        assert_same(checked_nn_chain_cluster(m, crit), oracle_nn_chain_cluster(m, crit))
+
+
+# -- pinned slot moves of the live block -------------------------------------
+
+
+def slot_merges(driver, m, crit):
+    """driver(m, crit), and (L, a, b) for each merge: the number of live
+    clusters and the two slots merged."""
+    seen = []
+    merge = linkage._Clusters.merge
+
+    def spy(self, a, b):
+        seen.append((self.live, a, b))
+        return merge(self, a, b)
+
+    with mock.patch.object(linkage._Clusters, "merge", spy):
+        return driver(m, crit), seen
+
+
+def test_merged_pair_holds_last_slot():
+    # 3 and 5 merge first, into slot 3.  Then terminal 4, in slot L-1 = 4,
+    # merges with that cluster, which keeps the lower slot 3, and nothing
+    # moves.  The new median centroid is at 133.25 (squared) from terminal
+    # 0, below row 0's cached 146 to terminal 1, so row 0 must now point
+    # at slot 3, the slot the new cluster kept, and not at slot 4
+    x = np.array([[16, 13], [11, 2], [28, 10], [9, 20], [18, 25], [5, 26]], float)
+    m = euclidean_matrix(x)
+    dend, slots = slot_merges(checked_naive_cluster, m, "median")
+    assert slots[:2] == [(6, 3, 5), (5, 4, 3)]
+    assert_same(dend, oracle_naive_cluster(m, "median"))
+
+
+@pytest.mark.parametrize("crit", [c for c in MergeCriterion if c.reducible],
+                         ids=lambda c: c.value)
+def test_chain_holds_moved_slot(crit):
+    # the chain runs 37 -> 32 -> 28 -> 27 -> 28 and merges 27 and 28 in
+    # slots 4 and 3 while it holds [0, 5]; 32 moves from slot L-1 = 5
+    # into slot 4, and the chain must follow it there
+    m = euclidean_matrix(np.array([[37.0], [0], [3], [28], [27], [32]]))
+    dend, slots = slot_merges(checked_nn_chain_cluster, m, crit)
+    assert slots[0] == (6, 4, 3)
+    assert_same(dend, oracle_nn_chain_cluster(m, crit))
+
+
+@pytest.mark.parametrize("crit", list(MergeCriterion), ids=lambda c: c.value)
+def test_cached_neighbour_in_moved_slot(crit):
+    # row 0's cached neighbour is 11 in slot L-1 = 4; merging 16 and 18 in
+    # slots 2 and 3 moves 11 into slot 3, and row 0 must point there
+    m = euclidean_matrix(np.array([[2.0], [39], [16], [18], [11]]))
+    dend, slots = slot_merges(checked_naive_cluster, m, crit)
+    assert slots[0] == (5, 2, 3)
+    assert_same(dend, oracle_naive_cluster(m, crit))
 
 
 # -- pinned paths of the cached-neighbour loop -------------------------------
