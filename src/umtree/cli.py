@@ -105,8 +105,12 @@ def cmd_cluster(args) -> int:
 def cmd_wavelet(args) -> int:
     dend = _load_dend(args.dend)
     table = load_csv(args.data)
-    ht = haar.forward(dend, table)
+    ht = haar.forward(dend, table)  # checks the row count, so the labels pair up
     n = dend.n_terminals
+    if dend.labels and table.row_labels:
+        for t, (row, label) in enumerate(zip(table.row_labels, dend.labels)):
+            if row != label:
+                raise ValueError(f"data row {t + 1} is {row!r}, but tree terminal {t} is {label!r}")
 
     if args.action == "regress":
         ht = haar.threshold_regress(ht, args.tau)

@@ -361,56 +361,6 @@ def cophenetic_matrix(dend: Dendrogram) -> DistanceMatrix:
     return DistanceMatrix._trusted(d)
 
 
-# -- minimum spanning tree and subdominant ultrametric ----------------------
-
-
-def _prim(d):
-    """Prim's minimum spanning tree of the complete graph on a distance
-    matrix, grown from terminal 0 in n - 1 steps of one row update each.
-
-    Returns (order, parent, weight) as lists: order[k] is the k-th
-    terminal to join, through an edge of length weight[k] to the tree
-    terminal parent[k]; order[0] = 0, with parent -1 and weight 0.0.
-    Among equally near terminals the smallest id joins first, and a
-    terminal's parent is the earliest joined of its equally near tree
-    terminals.
-    """
-    n = d.shape[0]
-    near = np.zeros(n, dtype=int)  # the tree terminal nearest to each terminal
-    dist = d[0].copy()  # its distance; inf once the terminal is in the tree
-    dist[0] = np.inf
-    outside = np.ones(n, dtype=bool)
-    outside[0] = False
-    order, parent, weight = [0], [-1], [0.0]
-    for _ in range(n - 1):
-        v = int(dist.argmin())  # the first minimum: the smallest id
-        order.append(v)
-        parent.append(int(near[v]))
-        weight.append(float(dist[v]))
-        dist[v] = np.inf
-        outside[v] = False
-        row = d[v]
-        closer = (row < dist) & outside  # strict: an earlier parent keeps a tie
-        dist[closer] = row[closer]
-        near[closer] = v
-    return order, parent, weight
-
-
-def _subdominant(d) -> np.ndarray:
-    """The subdominant ultrametric of d, the largest ultrametric below it:
-    s(x, y) is the longest edge on the minimum spanning tree path from x
-    to y.  Filled in Prim order, so each joining terminal copies its
-    parent's row over the terminals already in the tree.  Every entry is
-    an entry of d, so s is exact."""
-    order, parent, weight = _prim(d)
-    order = np.array(order)
-    s = np.zeros_like(d)
-    for k in range(1, len(order)):
-        v, inside = order[k], order[:k]
-        s[v, inside] = s[inside, v] = np.maximum(s[parent[k], inside], weight[k])
-    return s
-
-
 # -- metric / ultrametric verification -------------------------------------
 
 
@@ -455,18 +405,22 @@ def verify_ultrametric(m, tol: float = 0.0):
     equivalently: the two largest sides of every triangle agree to tol.
     A NaN tol raises ValueError.
 
-    Valid input is certified in O(n^2) by the subdominant ultrametric s
-    (see _subdominant): if d - s <= tol everywhere, the list is empty,
-    and the O(n^3) triple pass runs only otherwise.  The certificate is
-    exact in floating point: for the longest side d(x,z) of a triangle,
-    s(x,z) <= max(s(x,y), s(y,z)) <= the middle side, and rounding is
-    monotone, so no slack can exceed the largest d - s.
+    Valid input is certified in O(n^2) by the subdominant ultrametric s,
+    the largest ultrametric below d: the cophenetic matrix of
+    mst_cluster(d), whose every entry is an entry of d.  If d - s <= tol
+    everywhere, the list is empty, and the O(n^3) triple pass runs only
+    otherwise.  The certificate is exact in floating point: for the
+    longest side d(x,z) of a triangle, s(x,z) <= max(s(x,y), s(y,z)) <=
+    the middle side, and rounding is monotone, so no slack can exceed
+    the largest d - s.
     """
     tol = _checked_tol(tol)
     d = _as_matrix(m)
     n = d.shape[0]
     if tol >= 0 and n > 2:  # d - s is 0 on the diagonal: tol < 0 never passes
-        s = _subdominant(d)
+        from .linkage import mst_cluster  # not at the top: linkage imports this module
+
+        s = cophenetic_matrix(mst_cluster(DistanceMatrix._trusted(d))).values
         if all((d[rows] - s[rows]).max() <= tol for rows in _row_blocks(n)):
             return []
     return _violations(d, tol, ultra=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -119,9 +120,13 @@ def load_csv(text_or_path, columns=None) -> Table:
     try:
         values = np.array([[float(x) for x in r] for r in data])
     except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():  # name the first bad cell
         line, label, x = next((line, label, x) for (line, _), r in zip(rows[1:], data)
-                              for label, x in zip(col_labels, r) if not numeric(x))
-        raise ValueError(f"CSV line {line}, column {label!r}: {x!r} is not a number") from None
+                              for label, x in zip(col_labels, r)
+                              if not (numeric(x) and math.isfinite(float(x))))
+        kind = "a finite number" if numeric(x) else "a number"
+        raise ValueError(f"CSV line {line}, column {label!r}: {x!r} is not {kind}")
     table = Table(values, row_labels, col_labels)
     if columns:
         for c in columns:

@@ -4,7 +4,8 @@ Three drivers produce identical dendrograms when no two candidate
 merges tie (Muellner, arXiv:1109.2378, picks one per criterion):
 
 * mst_cluster -- single linkage only, O(n^2): Prim's minimum spanning
-  tree, its edges joined in order of length.
+  tree, its edges joined in order of length; verify_ultrametric reads
+  its tree as a certificate.
 * nn_chain_cluster -- O(n^2): follow nearest-neighbor chains and merge
   reciprocal nearest neighbors; valid only for reducible criteria
   (single, complete, average, ward).
@@ -46,7 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dendrogram import Dendrogram, _as_matrix, _overflow_named, _prim
+from .dendrogram import Dendrogram, _as_matrix, _overflow_named
 
 __all__ = [
     "MergeCriterion",
@@ -298,14 +299,33 @@ def nn_chain_cluster(m, crit, labels=None) -> Dendrogram:
 def mst_cluster(m, labels=None) -> Dendrogram:
     """O(n^2) single linkage from Prim's minimum spanning tree.
 
-    The single-link merges are the tree's edges taken by length, ties in
-    the order Prim added them, each joining the two clusters that hold
-    its ends (found with union-find); so the cophenetic distances are the
-    subdominant ultrametric of m.
+    Prim grows the tree from terminal 0 in n - 1 steps of one row update
+    each; a joining terminal's edge runs to the earliest joined of its
+    equally near tree terminals.  The single-link merges are the edges
+    taken by length, ties in the order Prim added them, each joining the
+    two clusters that hold its ends (found with union-find).  The
+    cophenetic distances are the subdominant ultrametric of m, which
+    verify_ultrametric uses as its certificate.
     """
     d = _as_matrix(m)
     n = _checked_n(d)
-    order, parent, weight = _prim(d)
+    near = np.zeros(n, dtype=int)  # the tree terminal nearest to each terminal
+    dist = d[0].copy()  # its distance; inf once the terminal is in the tree
+    dist[0] = np.inf
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
+    edges = []  # (length, joining terminal, tree terminal) in Prim order
+    for _ in range(n - 1):
+        v = int(dist.argmin())  # the first minimum: the smallest id
+        edges.append((float(dist[v]), v, int(near[v])))
+        dist[v] = np.inf
+        outside[v] = False
+        row = d[v]
+        closer = (row < dist) & outside  # strict: an earlier parent keeps a tie
+        dist[closer] = row[closer]
+        near[closer] = v
+    edges.sort(key=lambda edge: edge[0])  # stable: Prim order on ties
+
     root = list(range(n))  # union-find forest over terminals
     cluster = list(range(n))  # the cluster id held by each root terminal
 
@@ -315,9 +335,9 @@ def mst_cluster(m, labels=None) -> Dendrogram:
         return t
 
     raw = []
-    for k in sorted(range(1, n), key=weight.__getitem__):  # stable: Prim order on ties
-        a, b = find(order[k]), find(parent[k])
-        raw.append((cluster[a], cluster[b], weight[k]))
+    for length, v, u in edges:
+        a, b = find(v), find(u)
+        raw.append((cluster[a], cluster[b], length))
         root[a] = b
         cluster[b] = n + len(raw) - 1
     return _finish(n, raw, MergeCriterion.SINGLE, labels)

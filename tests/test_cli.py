@@ -138,6 +138,8 @@ class TestCluster:
     @pytest.mark.parametrize("body, argv, message", [
         (",a,b\nr1,1,2\n", ["--columns", "zz"], "no column 'zz'; the columns are a, b"),
         (",a,b\nr1,1,2\nr2,x,3\n", [], "CSV line 3, column 'a': 'x' is not a number"),
+        ("a,b\n0,1\nnan,2\n", [], "CSV line 3, column 'a': 'nan' is not a finite number"),
+        (",a,b\nr1,1,2\nr2,3,1e999\n", [], "CSV line 3, column 'b': '1e999' is not a finite number"),
         ("a\n0\n1e160\n3e160\n7e160\n", [],
          "a squared Euclidean distance overflows float64"),
     ])
@@ -221,6 +223,30 @@ class TestWavelet:
         ]) == 2
         assert "threshold nan" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.fixture
+    def xyzw(self, tmp_path):
+        """A tree clustered from rows labelled x, y, z, w."""
+        (tmp_path / "d.csv").write_text(",a,b\nx,0,0\ny,1,0\nz,0,3\nw,4,4\n")
+        tree = tmp_path / "t.json"
+        assert main(["cluster", "--input", str(tmp_path / "d.csv"), "--out", str(tree)]) == 0
+        return tree
+
+    @pytest.mark.parametrize("action", ["forward", "inverse", "chain", "regress"])
+    def test_reordered_rows_rejected(self, tmp_path, capsys, xyzw, action):
+        # paired by position, terminal 0 ("x") would get the row of "w"
+        data, out = tmp_path / "r.csv", tmp_path / "out"
+        data.write_text(",a,b\nw,4,4\nz,0,3\ny,1,0\nx,0,0\n")
+        argv = ["wavelet", action, "--dend", str(xyzw), "--data", str(data), "--out", str(out)]
+        assert main(argv) == 2
+        assert "error: data row 1 is 'w', but tree terminal 0 is 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_rows_named_before_labels(self, tmp_path, capsys, xyzw):
+        data = tmp_path / "p.csv"
+        data.write_text(",a,b\nx,0,0\ny,1,0\n")  # the first two of the tree's labels
+        assert main(["wavelet", "chain", "--dend", str(xyzw), "--data", str(data)]) == 2
+        assert "2 rows for 4 terminals" in capsys.readouterr().err
 
 
 class TestPadic:

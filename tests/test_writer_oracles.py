@@ -6,7 +6,8 @@ from encoded pieces; every output must be the bytes json.dumps(obj,
 indent=2) gives for the old report dict, and every CSV the bytes of the
 old per-value loop.  Labels carry quotes, backslashes, control and non-ASCII
 characters; rows of +-1e308 overflow the smooths to Infinity and the
-chain errors to NaN.
+chain errors to NaN.  padic reads tree labels drawn apart from the CSV's
+row labels; wavelet reads a tree labelled with those row labels.
 """
 
 import csv
@@ -181,7 +182,7 @@ SMALL = [
 @example(SMALL[2])
 @example(SMALL[3])
 def test_writers_equal_json_dumps(case):
-    dend, _, _ = case
+    dend, row_labels, x = case
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         write_case(tmp, case)
@@ -190,6 +191,9 @@ def test_writers_equal_json_dumps(case):
                 got = run(tmp, ["padic", "--p", str(p)] + flag)
                 assert got == oracle_padic(dend, p, bool(flag))
 
+        # wavelet rejects a tree whose labels differ from the CSV's row labels
+        labelled = Dendrogram(dend.n_terminals, dend.merges, labels=row_labels)
+        write_case(tmp, (labelled, row_labels, x))
         data = ["--data", str(tmp / "data.csv")]
         table = load_csv(tmp / "data.csv")
         ht = haar.forward(Dendrogram.from_json((tmp / "tree.json").read_text()), table)
