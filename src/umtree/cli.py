@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 usage error, 2 data error, 3 self-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -39,7 +40,11 @@ def _write(path, text):
 
 
 def _load_dend(path) -> Dendrogram:
-    return Dendrogram.from_json(Path(path).read_text())
+    text = Path(path).read_text()
+    try:
+        return Dendrogram.from_json(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _leaves(values) -> list:
@@ -287,7 +292,13 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_SELFTEST
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The umtree argument parser, built on the first call.
+
+    Every call returns the same parser, shared by all main() calls in the
+    process; it must not be changed.
+    """
     parser = _Parser(prog="umtree", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -341,7 +352,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, IndexError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -99,15 +99,21 @@ def clusters_at_level(t: SetValuedDistanceTable, k: int) -> list:
     node of level <= k; dominated sets (including singletons) removed.
 
     Each maximal node v gives one cluster, the extent of ~v.  Extents
-    grow with the node (v <= w gives ~w <= ~v), so the maximal extents
-    of all nodes of level <= k are those of the maximal nodes."""
+    reverse inclusion between closed sets (b <= b' iff the extent of b'
+    lies in that of b), so the maximal extents are those of the minimal
+    closed sets of vertex level <= k, found on the m-bit closed sets.
+    A singleton {x} is kept iff x is in none of those extents."""
     if not 0 <= k <= t.n_attributes:
         raise ValueError(f"level {k} out of range 0..{t.n_attributes}")
-    clusters = {1 << x for x in range(t.n)}
-    # vertex ~b has level n_attributes - |b|
-    clusters.update(e for b, e in t._closed_sets.items() if t.n_attributes - b.bit_count() <= k)
     keep = []
-    for c in sorted(clusters, key=int.bit_count, reverse=True):
-        if not any(c & d == c for d in keep):
-            keep.append(c)
-    return [frozenset(from_mask(c)) for c in sorted(keep, key=_mask_key)]
+    # vertex ~b has level n_attributes - |b|; a subset of b has fewer bits
+    for b in sorted((b for b in t._closed_sets if t.n_attributes - b.bit_count() <= k),
+                    key=int.bit_count):
+        if not any(d & b == d for d in keep):
+            keep.append(b)
+    clusters = [t._closed_sets[b] for b in keep]
+    covered = 0
+    for e in clusters:
+        covered |= e
+    clusters += [1 << x for x in range(t.n) if not covered >> x & 1]
+    return [frozenset(from_mask(c)) for c in sorted(clusters, key=_mask_key)]

@@ -235,22 +235,26 @@ def naive_cluster(m, crit, labels=None) -> Dendrogram:
     d, ids = c.d, c.ids
     nn = d.argmin(axis=1)  # slots equal ids, so the first minimum is the smallest id
     dmin = d[np.arange(c.n), nn]
+    # numpy keeps freed blocks of up to 1 KB cached by size, so a new mask
+    # of each length L would stay allocated: reuse two
+    mask, stale = np.empty(c.n, bool), np.empty(c.n, bool)
     with _updates_named(crit):
         while c.live > 1:
             live = c.live
-            hits = np.flatnonzero(dmin[:live] == dmin[:live].min())
+            hits = np.flatnonzero(np.equal(dmin[:live], dmin[:live].min(), out=mask[:live]))
             a = int(hits[ids[hits].argmin()])
             b = int(nn[a])
             # rows that pointed at a child, both children among them: nn[a] == b,
             # and a is the smallest id at distance dmin[a] from b, so nn[b] == a
-            stale = (nn[:live] == a) | (nn[:live] == b)
+            np.equal(nn[:live], a, out=stale[:live])
+            stale[:live] |= np.equal(nn[:live], b, out=mask[:live])
             hi = c.merge(a, b)
             lo, last = min(a, b), c.live
             if hi != last:  # slot last moved into slot hi
                 dmin[hi], nn[hi], stale[hi] = dmin[last], nn[last], stale[last]
-                nn[:last][nn[:last] == last] = hi
+                np.copyto(nn[:last], hi, where=np.equal(nn[:last], last, out=mask[:last]))
             col = d[lo, :last]  # column lo, read as the equal row
-            nn[:last][col < dmin[:last]] = lo
+            np.copyto(nn[:last], lo, where=np.less(col, dmin[:last], out=mask[:last]))
             np.minimum(dmin[:last], col, out=dmin[:last])
             rows = np.flatnonzero(stale[:last])
             sub = d[rows, :last]

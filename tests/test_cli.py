@@ -3,13 +3,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import umtree
+from umtree import cli, linkage
 from umtree.cli import main
 from umtree.datasets import bool5, iris8
+from umtree.dissim import euclidean_matrix, load_csv
 
 from conftest import ROUNDING_INVERSIONS
 
@@ -403,6 +406,63 @@ class TestCanon:
         path.write_text(tree)
         assert main(["canon", "--dend", str(path), "--out", str(tmp_path / "c.json")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["canon", "--dend", "{tree}"],
+        ["padic", "--dend", "{tree}"],
+        ["wavelet", "forward", "--dend", "{tree}", "--data", "{csv}"],
+    ])
+    def test_tree_not_json_named(self, tmp_path, capsys, iris_csv, argv):
+        tree = tmp_path / "tree.json"
+        tree.write_text("not json\n")
+        args = [a.format(tree=tree, csv=iris_csv) for a in argv]
+        assert main([*args, "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {tree}: Expecting value: line 1 column 1 (char 0)" in err
+        assert not (tmp_path / "o.json").exists()
+
+
+class TestSharedParser:
+    """main builds its parser once per process, and no call leaves
+    anything behind in it for the next."""
+
+    def test_parser_built_once(self, tmp_path, iris_csv, dend_json):
+        tree = tmp_path / "t.json"
+        assert main(["cluster", "--input", str(iris_csv), "--out", str(tree)]) == 0
+        with mock.patch.object(cli, "_Parser", side_effect=AssertionError):
+            assert main(["cluster", "--input", str(iris_csv), "--out", str(tree)]) == 0
+            assert main(["canon", "--dend", str(dend_json), "--out", str(tmp_path / "k.json")]) == 0
+            assert main(["padic", "--dend", str(dend_json), "--out", str(tmp_path / "p.json")]) == 0
+            assert main(["wavelet", "inverse", "--dend", str(dend_json), "--data", str(iris_csv),
+                         "--out", str(tmp_path / "w.csv")]) == 0
+            assert main(["genum", "--input", str(DATA / "genum_40x5.csv"),
+                         "--out", str(tmp_path / "g.json")]) == 0
+            with pytest.raises(SystemExit) as exc:
+                main(["padic"])
+            assert exc.value.code == 1
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_columns_do_not_carry_over(self, tmp_path, iris_csv):
+        part, full = tmp_path / "part.json", tmp_path / "full.json"
+        assert main(["cluster", "--input", str(iris_csv), "--columns", "Sepal.L",
+                     "--out", str(part)]) == 0
+        assert main(["cluster", "--input", str(iris_csv), "--out", str(full)]) == 0
+        table = load_csv(str(iris_csv))
+        want = linkage.nn_chain_cluster(euclidean_matrix(table), "ward", labels=table.row_labels)
+        assert full.read_text() == want.to_json()
+        assert part.read_bytes() != full.read_bytes()
+
+    @pytest.mark.parametrize("bad, code", [(["cluster"], 1), (["cluster", "--help"], 0)])
+    def test_exit_leaves_parser_usable(self, tmp_path, capsys, iris_csv, bad, code):
+        cli.build_parser.cache_clear()  # the next call builds the parser afresh
+        argv = ["cluster", "--input", str(iris_csv), "--criterion", "median"]
+        assert main([*argv, "--out", str(tmp_path / "first.json")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == code
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "again.json")]) == 0
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "first.json").read_bytes()
 
 
 class TestComposition:
