@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 import json
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -132,11 +133,12 @@ class Dendrogram:
     """Binary rooted node-ranked tree with agglomeration levels.
 
     merges[r - 1] = (left_child, right_child, level) for rank r in 1..n-1.
-    Levels must be nonnegative and non-decreasing along containment;
-    strictness can be checked separately (equal merge costs are common
-    for tied input distances).  raw_levels optionally preserves levels
-    prior to monotonicity repair (median linkage can invert, and so can
-    rounding on tied data).
+    Child ids are integers and levels are real numbers (numpy scalars kept
+    as int and float; bools are neither).  Levels must be nonnegative and
+    non-decreasing along containment; strictness can be checked separately
+    (equal merge costs are common for tied input distances).  raw_levels
+    optionally preserves levels prior to monotonicity repair (median
+    linkage can invert, and so can rounding on tied data).
     """
 
     n_terminals: int
@@ -146,18 +148,13 @@ class Dendrogram:
 
     def __post_init__(self):
         n = self.n_terminals
+        if not isinstance(n, Integral) or isinstance(n, bool):
+            raise ValueError(f"n_terminals {n!r} is not an integer")
         if n < 1:
             raise ValueError("need at least one terminal")
-        merges = []
-        for r, m in enumerate(self.merges, start=1):
-            try:
-                a, b, lev = m
-                merges.append((int(a), int(b), float(lev)))
-            except (TypeError, ValueError):
-                raise ValueError(f"merge {r} is {m!r}, expected [a, b, level]") from None
-        object.__setattr__(self, "merges", tuple(merges))
-        if len(merges) != n - 1:
-            raise ValueError(f"expected {n - 1} merges, got {len(merges)}")
+        given = tuple(self.merges)
+        if len(given) != n - 1:
+            raise ValueError(f"expected {n - 1} merges, got {len(given)}")
         if self.labels is not None:
             if len(self.labels) != n:
                 raise ValueError("labels must match n_terminals")
@@ -169,22 +166,33 @@ class Dendrogram:
                     raise ValueError(f"label {label!r} is not hashable") from None
                 if seen_at != t:
                     raise ValueError(f"label {label!r} repeated (terminals {seen_at} and {t})")
+        merges = []
+        level = [0.0] * n  # by node id: terminals, then each merge as it passes
         seen = set()
-        for r, (a, b, lev) in enumerate(merges, start=1):
-            node = n - 1 + r
+        for r, m in enumerate(given, start=1):
+            try:
+                a, b, lev = m
+            except (TypeError, ValueError):
+                raise ValueError(f"merge {r} is {m!r}, expected [a, b, level]") from None
+            if not (type(a) is type(b) is int and type(lev) is float):  # else the isinstance test
+                if bool in map(type, (a, b, lev)) or not (
+                        isinstance(a, Integral) and isinstance(b, Integral) and isinstance(lev, Real)):
+                    raise ValueError(f"merge {r} is {m!r}, expected [a, b, level]")
+                a, b, lev = int(a), int(b), float(lev)
             for c in (a, b):
-                if not (0 <= c < node):
+                if not 0 <= c < n - 1 + r:  # below its own node id
                     raise ValueError(f"merge {r}: child id {c} out of range")
                 if c in seen:
                     raise ValueError(f"child {c} used twice")
                 seen.add(c)
             if not 0 <= lev < np.inf:  # also NaN
                 raise ValueError(f"merge {r}: level {lev} is not finite and nonnegative")
-            for c in (a, b):
-                if c >= n and merges[c - n][2] > lev:
-                    raise ValueError(
-                        f"merge {r}: level below child's (use monotone repair)"
-                    )
+            if level[a] > lev or level[b] > lev:
+                raise ValueError(f"merge {r}: level below child's (use monotone repair)")
+            level.append(lev)
+            merges.append((a, b, lev))
+        object.__setattr__(self, "n_terminals", int(n))
+        object.__setattr__(self, "merges", tuple(merges))
 
     # -- basic structure ---------------------------------------------------
 
@@ -243,10 +251,6 @@ class Dendrogram:
         order[lo[:n]] = np.arange(n)
         return TreeLayout(order, lo, lo + np.array(size), np.array(parent))
 
-    @property
-    def parent(self) -> np.ndarray:
-        return self.layout.parent
-
     def path_to_root(self, terminal: int):
         """Internal nodes met walking from a terminal up to the root."""
         if not self.is_terminal(terminal):
@@ -272,13 +276,8 @@ class Dendrogram:
 
     def check_strict_levels(self) -> bool:
         """True iff levels strictly increase along containment."""
-        for node in range(self.n_terminals, self.n_nodes):
-            for c in self.children(node):
-                if c >= self.n_terminals and not self.level(c) < self.level(node):
-                    return False
-            if self.level(node) <= 0:
-                return False
-        return True
+        level = [0.0] * self.n_terminals + [lev for _, _, lev in self.merges]
+        return all(level[a] < lev and level[b] < lev for a, b, lev in self.merges)
 
     # -- level re-assignment ----------------------------------------------
 
@@ -338,7 +337,7 @@ def cophenetic_distance(dend: Dendrogram, i: int, j: int) -> float:
             raise IndexError(f"terminal {t} out of range")
     node = i
     while not dend.contains(node, j):
-        node = int(dend.parent[node])
+        node = int(dend.layout.parent[node])
     return dend.level(node)
 
 

@@ -105,15 +105,22 @@ def clusters_at_level(t: SetValuedDistanceTable, k: int) -> list:
     A singleton {x} is kept iff x is in none of those extents."""
     if not 0 <= k <= t.n_attributes:
         raise ValueError(f"level {k} out of range 0..{t.n_attributes}")
+    full = (1 << t.n_attributes) - 1
     keep = []
+    holders = [0] * t.n_attributes  # bit i of holders[x]: keep[i] holds attribute x
     # vertex ~b has level n_attributes - |b|; a subset of b has fewer bits
     for b in sorted((b for b in t._closed_sets if t.n_attributes - b.bit_count() <= k),
                     key=int.bit_count):
-        if not any(d & b == d for d in keep):
+        outside = 0  # the kept sets holding an attribute outside b
+        for x in from_mask(full & ~b):
+            outside |= holders[x]
+        if outside.bit_count() == len(keep):  # so none of them lies inside b
+            for x in from_mask(b):
+                holders[x] |= 1 << len(keep)
             keep.append(b)
     clusters = [t._closed_sets[b] for b in keep]
     covered = 0
     for e in clusters:
         covered |= e
     clusters += [1 << x for x in range(t.n) if not covered >> x & 1]
-    return [frozenset(from_mask(c)) for c in sorted(clusters, key=_mask_key)]
+    return [frozenset(members) for _, members in sorted(map(_mask_key, clusters))]

@@ -62,9 +62,6 @@ class PadicCode:
             raise ValueError("ranks start at 1")
         object.__setattr__(self, "coeffs", MappingProxyType(cleaned))
 
-    def __eq__(self, other):
-        return self.p == other.p and dict(self.coeffs) == dict(other.coeffs)
-
     def as_dict(self) -> dict:
         return dict(sorted(self.coeffs.items()))
 

@@ -407,6 +407,30 @@ class TestCanon:
         assert main(["canon", "--dend", str(path), "--out", str(tmp_path / "c.json")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tree, message", [
+        ('{"n_terminals": 3, "merges": [[0, 1, 1], [2.9, 3, 2]]}',
+         "merge 2 is [2.9, 3, 2], expected [a, b, level]"),
+        ('{"n_terminals": 3, "merges": [[0, 1, 1], ["2", 3, 2]]}',
+         "merge 2 is ['2', 3, 2], expected [a, b, level]"),
+        ('{"n_terminals": 3, "merges": [[0, 1, 1], [true, 3, 2]]}',
+         "merge 2 is [True, 3, 2], expected [a, b, level]"),
+        ('{"n_terminals": 2, "merges": [[0, 1, "1"]]}', "merge 1 is [0, 1, '1'], expected [a, b, level]"),
+        ('{"n_terminals": 2, "merges": [[0, 1, true]]}', "merge 1 is [0, 1, True], expected [a, b, level]"),
+        ('{"n_terminals": true, "merges": []}', "tree JSON 'n_terminals' is True, not an integer"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["canon", "--dend", "{tree}"],
+        ["padic", "--dend", "{tree}"],
+        ["wavelet", "forward", "--dend", "{tree}", "--data", "{csv}"],
+    ])
+    def test_mistyped_tree_named(self, tmp_path, capsys, iris_csv, argv, tree, message):
+        path = tmp_path / "tree.json"
+        path.write_text(tree)
+        args = [a.format(tree=path, csv=iris_csv) for a in argv]
+        assert main([*args, "--out", str(tmp_path / "o.json")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["canon", "--dend", "{tree}"],
         ["padic", "--dend", "{tree}"],
@@ -485,3 +509,10 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 10
+
+    def test_detail_signs_checked(self, capsys, monkeypatch):
+        from umtree import selftest
+
+        monkeypatch.setattr(selftest, "IRIS8_DETAILS", -selftest.IRIS8_DETAILS)
+        assert main(["selftest"]) == cli.EXIT_SELFTEST
+        assert "FAIL  iris8 haar detail vectors" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -47,6 +48,28 @@ class TestDendrogram:
         with pytest.raises(ValueError):
             # parent below child level
             Dendrogram(3, ((0, 1, 2.0), (2, 3, 1.0)))
+
+    @pytest.mark.parametrize("merge", [
+        (2.9, 3, 2.0), ("2", 3, 2.0), (True, 3, 2.0), (np.float64(2.0), 3, 2.0), (2, np.True_, 2.0),
+        (2, 3, "1"), (2, 3, True), (2, 3, b"2"), (2, 3, np.bool_(True)),
+    ])
+    def test_mistyped_merge_named(self, merge):
+        # int() and float() would have made each of these a valid merge
+        with pytest.raises(ValueError, match=re.escape(f"merge 2 is {merge!r}, expected [a, b, level]")):
+            Dendrogram(3, ((0, 1, 1.0), merge))
+
+    @pytest.mark.parametrize("n", [True, np.True_, 2.5, 2.0, "2", None])
+    def test_n_terminals_not_an_integer(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n_terminals {n!r} is not an integer")):
+            Dendrogram(n, ((0, 1, 1.0),))
+
+    def test_numpy_ids_and_int_levels_kept_as_int_and_float(self):
+        merges = ((np.int64(1), np.uint8(2), 1), (np.int32(0), 3, np.float32(3.5)))
+        d = Dendrogram(np.int64(3), merges, labels=("x", "y", "z"))
+        assert d == small_tree()
+        assert d.to_json() == small_tree().to_json()
+        assert type(d.n_terminals) is int
+        assert [tuple(map(type, m)) for m in d.merges] == [(int, int, float)] * 2
 
     def test_no_level_tolerance(self):
         # a parent 1e-13 under its child is below it at any scale

@@ -49,6 +49,14 @@ class TestEncode:
         with pytest.raises(ValueError):
             PadicCode(3, {0: 1})
 
+    def test_equality(self):
+        code = PadicCode(3, {1: 1, 2: -1})
+        assert code == PadicCode(3, {2: -1, 1: 1, 4: 0})  # zeros dropped, order ignored
+        assert code != PadicCode(2, {1: 1, 2: -1})
+        assert code != PadicCode(3, {1: 1})
+        assert code != 5 and code != {1: 1, 2: -1}  # other types are not equal, no error
+        assert code in [5, code]
+
 
 class TestDecimal:
     def test_single_term(self):

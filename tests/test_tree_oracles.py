@@ -190,6 +190,60 @@ def oracle_newick(dend):
     return f"({render(a, lev)},{render(b, lev)});"
 
 
+def oracle_validate(n, merges, labels=None):
+    """The earlier two-loop tree check: convert every merge with int() and
+    float(), then check the converted copy.  Returns the copy."""
+    if n < 1:
+        raise ValueError("need at least one terminal")
+    converted = []
+    for r, m in enumerate(merges, start=1):
+        try:
+            a, b, lev = m
+            converted.append((int(a), int(b), float(lev)))
+        except (TypeError, ValueError):
+            raise ValueError(f"merge {r} is {m!r}, expected [a, b, level]") from None
+    if len(converted) != n - 1:
+        raise ValueError(f"expected {n - 1} merges, got {len(converted)}")
+    if labels is not None:
+        if len(labels) != n:
+            raise ValueError("labels must match n_terminals")
+        first = {}
+        for t, label in enumerate(labels):
+            try:
+                seen_at = first.setdefault(label, t)
+            except TypeError:
+                raise ValueError(f"label {label!r} is not hashable") from None
+            if seen_at != t:
+                raise ValueError(f"label {label!r} repeated (terminals {seen_at} and {t})")
+    seen = set()
+    for r, (a, b, lev) in enumerate(converted, start=1):
+        node = n - 1 + r
+        for c in (a, b):
+            if not (0 <= c < node):
+                raise ValueError(f"merge {r}: child id {c} out of range")
+            if c in seen:
+                raise ValueError(f"child {c} used twice")
+            seen.add(c)
+        if not 0 <= lev < np.inf:
+            raise ValueError(f"merge {r}: level {lev} is not finite and nonnegative")
+        for c in (a, b):
+            if c >= n and converted[c - n][2] > lev:
+                raise ValueError(f"merge {r}: level below child's (use monotone repair)")
+    return tuple(converted)
+
+
+def oracle_strict_levels(dend):
+    """The earlier check_strict_levels: a rule for internal children, and
+    a separate positive-level rule for every internal node."""
+    for node in range(dend.n_terminals, dend.n_nodes):
+        for c in dend.children(node):
+            if c >= dend.n_terminals and not dend.level(c) < dend.level(node):
+                return False
+        if dend.level(node) <= 0:
+            return False
+    return True
+
+
 # -- strategies -------------------------------------------------------------
 
 
@@ -231,6 +285,61 @@ def tree_data(draw):
     else:
         x = rng.integers(-3, 4, size=(dend.n_terminals, m)).astype(float)
     return dend, x
+
+
+FAULTS = ["none", "shape", "count", "range", "reuse", "level", "monotone", "labels"]
+
+
+@st.composite
+def one_fault_trees(draw):
+    """(fault, n, merges, labels): a tree from dendrograms() with at most
+    one fault, none of them a wrong type.  Its levels never fall with
+    rank, so a reused or out-of-range child breaks no level rule.  Ids
+    may be numpy integers and integral levels ints."""
+    dend = draw(dendrograms())
+    n = dend.n_terminals
+    merges = [list(m) for m in dend.merges]
+    if draw(st.booleans()):
+        for m in merges:
+            m[0], m[1] = np.int64(m[0]), np.int32(m[1])
+            m[2] = int(m[2]) if m[2] == int(m[2]) else np.float64(m[2])
+    labels = None
+    fault = draw(st.sampled_from(FAULTS))
+    assume(merges or fault in ("none", "count", "labels"))
+    r = draw(st.integers(0, len(merges) - 1)) if merges else 0
+    if fault == "shape":
+        merges[r] = draw(st.sampled_from([merges[r][:2], merges[r] + [0.0], 5, None, "ab"]))
+    elif fault == "count":
+        if n > 1 and draw(st.booleans()):
+            merges.pop()
+        else:
+            merges.append([0, 1, 1.0])
+    elif fault == "range":
+        merges[r][draw(st.integers(0, 1))] = draw(st.sampled_from([-1, n + r, n + r + 1, 2 * n]))
+    elif fault == "reuse":
+        used = [c for m in merges[:r] for c in m[:2]]
+        merges[r][1] = draw(st.sampled_from(used + [merges[r][0]]))
+    elif fault == "level":
+        merges[r][2] = draw(st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -5e-324]))
+    elif fault == "monotone":
+        below = [k for k, m in enumerate(merges)
+                 if any(c >= n and merges[c - n][2] > 0 for c in m[:2])]
+        assume(below)
+        r = draw(st.sampled_from(below))
+        top = max(merges[c - n][2] for c in merges[r][:2] if c >= n)
+        merges[r][2] = draw(st.sampled_from([0.0, top / 2, float(np.nextafter(top, 0))]))
+    elif fault == "labels":
+        labels = [f"x{t}" for t in range(n)]
+        kind = draw(st.sampled_from(["short", "repeated", "unhashable"]))
+        if kind == "short":
+            labels.pop()
+        elif kind == "repeated":
+            assume(n > 1)
+            labels[draw(st.integers(1, n - 1))] = labels[0]
+        else:
+            labels[draw(st.integers(0, n - 1))] = ["x"]
+        labels = tuple(labels)
+    return fault, n, merges, labels
 
 
 SIDES = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 7.25, 0.1, 0.2, 0.30000000000000004]
@@ -435,3 +544,27 @@ def test_verifiers_on_tree_distances(dend, tol):
     d = cophenetic_matrix(dend)
     assert verify_ultrametric(d, tol) == oracle_violations(d.values, tol, ultra=True) == []
     assert verify_metric(d, tol) == oracle_violations(d.values, tol, ultra=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_fault_trees())
+def test_validation_equals_two_loop_check(case):
+    fault, n, merges, labels = case
+    try:
+        want = oracle_validate(n, merges, labels)
+    except ValueError as exc:
+        assert fault != "none"
+        with pytest.raises(ValueError) as got:
+            Dendrogram(n, tuple(merges), labels=labels)
+        assert str(got.value) == str(exc)
+    else:
+        assert fault == "none"
+        dend = Dendrogram(n, tuple(merges), labels=labels)
+        assert dend.merges == want
+        assert all(type(a) is type(b) is int and type(lev) is float for a, b, lev in dend.merges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dendrograms())
+def test_strict_levels_equal_per_node_rules(dend):
+    assert dend.check_strict_levels() == oracle_strict_levels(dend)
