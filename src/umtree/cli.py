@@ -17,7 +17,7 @@ import numpy as np
 
 from . import genlattice, haar, linkage, padic, selftest, symmetry
 from .dendrogram import Dendrogram
-from .dissim import euclidean_matrix, load_csv, setvalued_table
+from .dissim import euclidean_matrix, load_csv, setvalued_table, to_mask
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -235,7 +235,11 @@ def cmd_genum(args) -> int:
 
     level = args.level if args.level is not None else t.n_attributes
     clusters = genlattice.clusters_at_level(t, level)
-    pairs = {v: genlattice.pairs_for_node(t, v) for v in lattice.vertices}
+    # the index arrays of each vertex's pairs, read for the lattice's own
+    # vertices, so without pairs_for_node's vertex check
+    by_distance = t._pairs_by_distance
+    pairs = [(v, by_distance[mask]) for v in lattice.vertices
+             if (mask := to_mask(v)) in by_distance]
     # labels are sorted raw, then encoded: escapes would change the order
     attr_text = [_key(a) for a in attr]
     obj_text = [_key(o) for o in obj]
@@ -246,12 +250,12 @@ def cmd_genum(args) -> int:
         for v in lattice.vertices
     ]
     edges = [_block([name_text[a], name_text[b]], 2) for a, b in lattice.edges]
-    pad = ",\n" + "  " * 4  # each pair is _block([i, j], 3), written out for the O(n^2) pairs
-    listed = [
-        name_text[v] + ": " + _block(
-            [f"[{pad[1:]}{obj_text[i]}{pad}{obj_text[j]}\n      ]" for i, j in p], 2)
-        for v, p in pairs.items() if p
-    ]
+    # each pair is _block([oi, oj], 3), written out as a head piece for oi
+    # and a tail piece for oj: object arrays, so that a vertex's index
+    # arrays gather its pieces and + joins them pair by pair
+    head = np.array(["[\n        " + o + ",\n        " for o in obj_text], dtype=object)
+    tail = np.array([o + "\n      ]" for o in obj_text], dtype=object)
+    listed = [name_text[v] + ": " + _block((head[i] + tail[j]).tolist(), 2) for v, (i, j) in pairs]
     groups = [_block([obj_text[i] for i in sorted(c, key=obj.__getitem__)], 3) for c in clusters]
     _write(args.out, _block([
         '"vertices": ' + _block(vertices, 1),
@@ -266,10 +270,11 @@ def cmd_genum(args) -> int:
             if row:
                 lines.append(f"{'   '.join(row):<28} {lev}")
         lines.append("")
-        for v, p in pairs.items():
-            if p:
-                plist = ", ".join(f"d({obj[i]},{obj[j]})" for i, j in p)
-                lines.append(f"The subset {setname(v)} corresponds to: {plist}")
+        head = np.array([f"d({o}," for o in obj], dtype=object)
+        tail = np.array([f"{o})" for o in obj], dtype=object)
+        for v, (i, j) in pairs:
+            plist = ", ".join((head[i] + tail[j]).tolist())
+            lines.append(f"The subset {setname(v)} corresponds to: {plist}")
         lines.append("")
         lines.append(f"Clusters defined by all pairwise linkage at level <= {level}:")
         for c in clusters:

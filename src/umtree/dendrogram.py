@@ -10,10 +10,11 @@ branch label +1; the second carries -1.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 import json
+import math
 from numbers import Integral, Real
 from typing import NamedTuple
 
@@ -46,6 +47,14 @@ def _overflow_named(message):
             yield
     except FloatingPointError:
         raise ValueError(message) from None
+
+
+def _finite(x) -> bool:
+    """math.isfinite, and False for an int too large for a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -138,12 +147,14 @@ class Dendrogram:
     non-decreasing along containment; strictness can be checked separately
     (equal merge costs are common for tied input distances).  raw_levels
     optionally preserves levels prior to monotonicity repair (median
-    linkage can invert, and so can rounding on tied data).
+    linkage can invert, and so can rounding on tied data): n - 1 finite
+    numbers, kept as float.  They are not compared and not written to
+    JSON, so a repaired tree equals the tree read back from its JSON.
     """
 
     n_terminals: int
     merges: tuple
-    raw_levels: tuple = None
+    raw_levels: tuple = field(default=None, compare=False)
     labels: tuple = None
 
     def __post_init__(self):
@@ -191,6 +202,17 @@ class Dendrogram:
                 raise ValueError(f"merge {r}: level below child's (use monotone repair)")
             level.append(lev)
             merges.append((a, b, lev))
+        if self.raw_levels is not None:
+            try:
+                raw = tuple(self.raw_levels)
+            except TypeError:
+                raise ValueError(f"raw_levels {self.raw_levels!r} is not a sequence") from None
+            if len(raw) != n - 1:
+                raise ValueError(f"expected {n - 1} raw levels, got {len(raw)}")
+            for r, lev in enumerate(raw, start=1):
+                if isinstance(lev, bool) or not isinstance(lev, Real) or not _finite(lev):
+                    raise ValueError(f"raw level {r} is {lev!r}, expected a finite number")
+            object.__setattr__(self, "raw_levels", tuple(map(float, raw)))
         object.__setattr__(self, "n_terminals", int(n))
         object.__setattr__(self, "merges", tuple(merges))
 

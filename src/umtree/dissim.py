@@ -21,7 +21,6 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -266,19 +265,33 @@ class SetValuedDistanceTable:
 
     @cached_property
     def _pairs_by_distance(self) -> dict:
-        """{distance mask: its pairs (i, j), i < j, in lexicographic order}."""
-        full = (1 << self.n_attributes) - 1
-        groups = {}
-        for (i, a), (j, b) in combinations(enumerate(self.rows), 2):
-            groups.setdefault(full & ~(a & b), []).append((i, j))
-        return groups
+        """{distance mask: (i, j)}, index arrays of its pairs i[k] < j[k]
+        in lexicographic order.
+
+        Each row is packed little-endian into bytes, and the distance
+        bytes of every pair are sorted once; the sort is stable, so each
+        distance keeps its pairs in the order that triu_indices lists them.
+        """
+        if self.n < 2:
+            return {}
+        width = max(1, -(-self.n_attributes // 8))
+        packed = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in self.rows),
+                               np.uint8).reshape(self.n, width)
+        full = np.frombuffer(((1 << self.n_attributes) - 1).to_bytes(width, "little"), np.uint8)
+        i, j = np.triu_indices(self.n, 1)
+        key = ~(packed[i] & packed[j]) & full
+        order = np.lexsort(key.T)
+        key, i, j = key[order], i[order], j[order]
+        cuts = np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1
+        return {int.from_bytes(key[s].tobytes(), "little"): (i[s:e], j[s:e])
+                for s, e in zip([0, *cuts.tolist()], [*cuts.tolist(), len(key)])}
 
     @cached_property
     def dist(self) -> dict:
         """{(i, j): frozenset} for i < j; pairs with one distance share one set."""
         out = {}
-        for mask, pairs in self._pairs_by_distance.items():
-            out.update(dict.fromkeys(pairs, frozenset(from_mask(mask))))
+        for mask, (i, j) in self._pairs_by_distance.items():
+            out.update(dict.fromkeys(zip(i.tolist(), j.tolist()), frozenset(from_mask(mask))))
         return dict(sorted(out.items()))
 
     def __getitem__(self, ij) -> frozenset:

@@ -73,13 +73,21 @@ def build_lattice(t: SetValuedDistanceTable) -> Semilattice:
     index = {v: k for k, v in enumerate(order)}
     edges = []
     for hi in order:
-        below = set()
+        # Lindig's neighbour test: the candidate for x drops r(x) = c & hi
+        # from hi, and r(y) <= r(x) for each y in r(x), so the candidate is
+        # a lower cover iff every y in r(x) has r(y) = r(x).  x leaves least
+        # when r(x) holds another attribute still in it: one that drops a
+        # smaller set, or the same set and comes later.  So one edge is
+        # made per cover, at the last attribute of its r.
+        least = hi
         for x in from_mask(hi):
             c, extent = t._closure(full & ~hi | 1 << x)
-            if extent.bit_count() > 1:
-                below.add(full & ~c)
-        edges.extend((index[lo], index[hi]) for lo in below
-                     if not any(lo != u and lo & u == lo for u in below))
+            if extent.bit_count() < 2:  # no vertex below hi avoids x
+                continue
+            if c & least & ~(1 << x):
+                least &= ~(1 << x)
+            else:
+                edges.append((index[full & ~c], index[hi]))
     sets = [frozenset(from_mask(v)) for v in order]
     return Semilattice(tuple(sets), tuple((sets[lo], sets[hi]) for lo, hi in sorted(edges)))
 
@@ -91,7 +99,8 @@ def pairs_for_node(t: SetValuedDistanceTable, node) -> list:
     c, extent = t._closure(full & ~mask)
     if mask & ~full or c != full & ~mask or extent.bit_count() < 2:
         raise KeyError(f"{sorted(node)} is not a lattice vertex")
-    return list(t._pairs_by_distance.get(mask, ()))
+    pairs = t._pairs_by_distance.get(mask)
+    return [] if pairs is None else list(zip(pairs[0].tolist(), pairs[1].tolist()))
 
 
 def clusters_at_level(t: SetValuedDistanceTable, k: int) -> list:

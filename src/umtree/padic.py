@@ -62,6 +62,10 @@ class PadicCode:
             raise ValueError("ranks start at 1")
         object.__setattr__(self, "coeffs", MappingProxyType(cleaned))
 
+    def __hash__(self) -> int:
+        # the coefficient proxy is unhashable; equal codes have equal items
+        return hash((self.p, frozenset(self.coeffs.items())))
+
     def as_dict(self) -> dict:
         return dict(sorted(self.coeffs.items()))
 

@@ -71,6 +71,30 @@ class TestDendrogram:
         assert type(d.n_terminals) is int
         assert [tuple(map(type, m)) for m in d.merges] == [(int, int, float)] * 2
 
+    @pytest.mark.parametrize("raw, message", [
+        (("x", None, 5), "expected 1 raw levels, got 3"),
+        ((), "expected 1 raw levels, got 0"),
+        (5, "raw_levels 5 is not a sequence"),
+        (("1",), "raw level 1 is '1', expected a finite number"),
+        ((None,), "raw level 1 is None, expected a finite number"),
+        ((True,), "raw level 1 is True, expected a finite number"),
+        ((np.True_,), f"raw level 1 is {np.True_!r}, expected a finite number"),
+        ((float("nan"),), "raw level 1 is nan, expected a finite number"),
+        ((-np.inf,), "raw level 1 is -inf, expected a finite number"),
+        ((10**400,), "raw level 1 is 1000"),
+    ])
+    def test_raw_levels_checked(self, raw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Dendrogram(2, ((0, 1, 1.0),), raw_levels=raw)
+
+    def test_raw_levels_kept_as_float_and_not_compared(self):
+        d = Dendrogram(3, ((1, 2, 1.0), (0, 3, 3.5)), raw_levels=[np.int64(2), np.float32(-0.5)],
+                       labels=("x", "y", "z"))
+        assert d.raw_levels == (2.0, -0.5)
+        assert [type(r) for r in d.raw_levels] == [float, float]
+        assert d == small_tree() and hash(d) == hash(small_tree())
+        assert d.to_json() == small_tree().to_json()
+
     def test_no_level_tolerance(self):
         # a parent 1e-13 under its child is below it at any scale
         with pytest.raises(ValueError, match="level below child's"):

@@ -1,6 +1,7 @@
 import io
 import tracemalloc
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from umtree import (
     verify_metric,
 )
 from umtree.datasets import bool5, iris8
+from umtree.dissim import from_mask
 
 
 def simple_matching_setvalued(data, i: int, j: int) -> frozenset:
@@ -28,6 +30,16 @@ def simple_matching_setvalued(data, i: int, j: int) -> frozenset:
         raise ValueError("boolean table must contain only 0 and 1")
     both = (x[i] == 1) & (x[j] == 1)
     return frozenset(np.flatnonzero(~both).tolist())
+
+
+def oracle_pairs_by_distance(t) -> dict:
+    """{distance mask: its pairs (i, j), i < j, in lexicographic order}, by
+    one loop over the pairs: the grouping the sort replaced."""
+    full = (1 << t.n_attributes) - 1
+    groups = {}
+    for (i, a), (j, b) in combinations(enumerate(t.rows), 2):
+        groups.setdefault(full & ~(a & b), []).append((i, j))
+    return groups
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +237,20 @@ class TestSetValuedTable:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+
+# widths on both sides of each byte boundary and past 64 bits, and none
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.sampled_from([0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70, 130]),
+       st.sampled_from([0.0, 0.3, 0.7, 0.95, 1.0]), st.integers(0, 2**32 - 1))
+def test_pairs_grouped_as_by_combinations(n, m, p, seed):
+    t = setvalued_table((np.random.default_rng(seed).random((n, m)) < p).astype(float))
+    want = oracle_pairs_by_distance(t)
+    groups = t._pairs_by_distance
+    assert {mask: list(zip(i.tolist(), j.tolist())) for mask, (i, j) in groups.items()} == want
+    assert all(i.dtype.kind == j.dtype.kind == "i" for i, j in groups.values())
+    dist = {ij: frozenset(from_mask(mask)) for mask, pairs in want.items() for ij in pairs}
+    assert list(t.dist.items()) == sorted(dist.items())
 
 
 class TestCsv:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from umtree import (
+    Dendrogram,
     DistanceMatrix,
     MergeCriterion,
     cophenetic_matrix,
@@ -145,6 +146,16 @@ class TestConventions:
         assert levels == sorted(levels)
         if d.raw_levels is not None:
             assert any(r != lev for r, lev in zip(d.raw_levels, levels))
+
+    def test_repaired_tree_equals_its_json(self):
+        # the second merge's median cost falls below the first's 16.0
+        x = np.array([[0, 0], [16, 0], [8, 14], [8, -14], [24, 15]], float)
+        d = naive_cluster(euclidean_matrix(x), "median")
+        assert d.raw_levels[1] < d.raw_levels[0] == 16.0
+        back = Dendrogram.from_json(d.to_json())
+        assert back.raw_levels is None
+        assert back == d
+        assert back.to_json() == d.to_json()
 
 
 class TestTieRules:

@@ -57,6 +57,14 @@ class TestEncode:
         assert code != 5 and code != {1: 1, 2: -1}  # other types are not equal, no error
         assert code in [5, code]
 
+    def test_hash(self):
+        code = PadicCode(3, {1: 1, 2: -1})
+        same = PadicCode(3, {2: -1, 1: 1, 4: 0})
+        assert hash(code) == hash(same)
+        assert {code} == {same} and same in {code}
+        assert len({code, same, PadicCode(2, {1: 1, 2: -1}), PadicCode(3, {1: 1})}) == 3
+        assert {code: "x"}[same] == "x"
+
 
 class TestDecimal:
     def test_single_term(self):
