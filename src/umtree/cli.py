@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 usage error, 2 data error, 3 self-check failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -32,11 +33,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write(path, text):
+@contextlib.contextmanager
+def _opened(path):
+    """The stream a report is written to, whole or piece by piece: the
+    file at path, or stdout, ended with a newline as print ends it."""
     if path:
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            yield fh
     else:
-        print(text)
+        yield sys.stdout
+        sys.stdout.write("\n")
+
+
+def _write(path, text):
+    with _opened(path) as fh:
+        fh.write(text)
 
 
 def _load_dend(path) -> Dendrogram:
@@ -83,10 +94,26 @@ def _block(items, depth, brackets="[]") -> str:
     return "".join(parts)
 
 
-def _csv_lines(rows) -> list:
-    """Each row of a 2-d array as comma-separated %.6f fields."""
-    fmt = ",".join(["%.6f"] * rows.shape[1])
-    return [fmt % tuple(row) for row in rows.tolist()]
+def _write_block(fh, items, depth, brackets):
+    """Write _block(items, depth, brackets) to fh one item at a time, so
+    that items may be a generator and no item outlives its write."""
+    sep = ",\n" + "  " * (depth + 1)
+    wrote = False
+    for item in items:
+        fh.write(sep if wrote else brackets[0] + sep[1:])
+        fh.write(item)
+        wrote = True
+    fh.write("\n" + "  " * depth + brackets[1] if wrote else brackets)
+
+
+def _csv_lines(rows, heads=None) -> str:
+    """The rows of a 2-d array as lines of comma-separated %.6f fields,
+    each led by its head and a comma when heads are given, formatted by
+    one % over the whole array."""
+    fields = ",".join(["%.6f"] * rows.shape[1])
+    lines = [fields] * rows.shape[0] if heads is None else [
+        head.replace("%", "%%") + "," + fields for head in heads]
+    return "\n".join(lines) % tuple(rows.ravel().tolist())
 
 
 def cmd_cluster(args) -> int:
@@ -122,23 +149,18 @@ def cmd_wavelet(args) -> int:
 
     if args.action == "inverse" or args.action == "regress":
         rows = haar.inverse(ht)
-        lines = [",".join(table.col_labels or [f"c{j}" for j in range(rows.shape[1])])]
-        _write(args.out, "\n".join(lines + _csv_lines(rows)) + "\n")
+        header = ",".join(table.col_labels or [f"c{j}" for j in range(rows.shape[1])])
+        _write(args.out, header + "\n" + _csv_lines(rows) + "\n")
         return EXIT_OK
 
     if args.action == "chain":
         _write(args.out, _chain_json(ht, table.row_labels or [str(t) for t in range(n)]))
         return EXIT_OK
 
-    # forward: coefficient JSON plus optional table-style CSV
-    levels = _leaves(list(range(1, n)))
-    details = [
-        _key(str(n + k)) + ": " + _block([
-            '"vector": ' + _block(vector, 3),
-            '"level": ' + levels[k],
-        ], 2, "{}")
-        for k, vector in enumerate(_leaf_rows(ht.details))
-    ]
+    # forward: coefficient JSON plus optional table-style CSV; a detail
+    # entry is its node id, its vector's m cells and its rank in a template
+    entry = '"%d": ' + _block(['"vector": ' + _block(["%s"] * ht.m, 3), '"level": %d'], 2, "{}")
+    details = [entry % (n + k, *cells, k + 1) for k, cells in enumerate(_leaf_rows(ht.details))]
     _write(args.out, _block([
         '"smooth": ' + _block(_leaves(ht.smooth.tolist()), 1),
         '"details": ' + _block(details, 1, "{}"),
@@ -147,9 +169,7 @@ def cmd_wavelet(args) -> int:
         cols = [f"s{n - 1}"] + [f"d{r}" for r in range(n - 1, 0, -1)]
         attrs = table.col_labels or [f"c{j}" for j in range(ht.m)]
         vals = np.column_stack([ht.smooth, ht.details[::-1].T])
-        lines = ["," + ",".join(cols)]
-        lines += [attr + "," + row for attr, row in zip(attrs, _csv_lines(vals))]
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        Path(args.csv).write_text("," + ",".join(cols) + "\n" + _csv_lines(vals, attrs) + "\n")
     return EXIT_OK
 
 
@@ -162,12 +182,11 @@ def _chain_json(ht, names) -> str:
     """
     dend = ht.dend
     rows = haar._node_rows(ht)
-    # a step is _block(['"partial": ' + row, '"error": ' + e], 2, "{}"),
-    # written out so that only e is joined per step
-    head = [
-        '{\n      "partial": ' + _block(row, 3) + ',\n      "error": '
-        for row in _leaf_rows(rows)
-    ]
+    # a step is _block(['"partial": ' + row, '"error": ' + e], 2, "{}"):
+    # each node's part before e comes from one template, so that only e
+    # is joined per step
+    partial = '{\n      "partial": ' + _block(["%s"] * ht.m, 3) + ',\n      "error": '
+    head = [partial % tuple(cells) for cells in _leaf_rows(rows)]
     down = {dend.root: [dend.root]}  # node -> the nodes from the root down to it
     for node in range(dend.root, dend.n_terminals - 1, -1):
         above = down.pop(node)
@@ -177,8 +196,10 @@ def _chain_json(ht, names) -> str:
     steps = np.concatenate(paths)
     targets = np.repeat(np.arange(len(paths)), [len(path) for path in paths])
     errors = iter(_leaves(haar._row_norms(rows[steps] - rows[targets]).tolist()))
+    # each terminal's steps, as _block(steps, 1) lays them out
+    sep = "\n    },\n    "
     terminals = [
-        _key(name) + ": " + _block([head[node] + next(errors) + "\n    }" for node in path], 1)
+        f"{_key(name)}: [\n    {sep.join([head[node] + next(errors) for node in path])}\n    }}\n  ]"
         for name, path in zip(names, paths)
     ]
     del head, down, paths, steps, targets, errors  # freed before the report is joined
@@ -188,37 +209,27 @@ def _chain_json(ht, names) -> str:
 def cmd_padic(args) -> int:
     dend = _load_dend(args.dend)
     n = dend.n_terminals
-    values = padic.decimal_values(dend, args.p)
+    decimals = padic.decimal_texts(dend, args.p)
     # A terminal's coefficients by ascending rank are the (rank, label)
     # items of its root path read upwards, so a child's text is its own
     # item, each item led by its separator, in front of its parent's text.
     # An internal node's text is dropped once both children have theirs.
-    sep = ",\n" + "  " * 4
-    ranks = _leaves(list(range(n)))
     tail = {dend.root: ""}
-    for node in range(dend.root, n - 1, -1):
-        a, b = dend.children(node)
-        rank, above = ranks[dend.rank(node)], tail.pop(node)
-        tail[a] = sep + _block([rank, "1"], 4) + above
-        tail[b] = sep + _block([rank, "-1"], 4) + above
-    # the values can run past Python's int-to-text digit limit (4300 by
-    # default), so it is lifted while they are encoded
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        decimals = _leaves(values)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    for rank in range(n - 1, 0, -1):
+        a, b, _ = dend.merges[rank - 1]
+        above = tail.pop(n - 1 + rank)
+        item = f",\n        [\n          {rank},\n          "
+        tail[a] = f"{item}1\n        ]{above}"
+        tail[b] = f"{item}-1\n        ]{above}"
     terminals = []
     for t, value in enumerate(decimals):
         coeffs = tail.pop(t)
-        terminals.append(_key(dend.labels[t] if dend.labels else str(t)) + ": " + _block([
-            '"coefficients": ' + ("[" + coeffs[1:] + "\n" + "  " * 3 + "]" if coeffs else "[]"),
-            '"decimal": ' + value,
-        ], 2, "{}"))
+        coeffs = f"[{coeffs[1:]}\n      ]" if coeffs else "[]"
+        name = _key(dend.labels[t] if dend.labels else str(t))
+        terminals.append(f'{name}: {{\n      "coefficients": {coeffs},\n      "decimal": {value}\n    }}')
     report = [f'"p": {json.dumps(args.p)}', '"terminals": ' + _block(terminals, 1, "{}")]
     if args.check_unique:
-        report.append(f'"unique": {json.dumps(len(set(values)) == len(values))}')
+        report.append(f'"unique": {json.dumps(len(set(decimals)) == len(decimals))}')
     _write(args.out, _block(report, 0, "{}"))
     return EXIT_OK
 
@@ -255,14 +266,16 @@ def cmd_genum(args) -> int:
     # arrays gather its pieces and + joins them pair by pair
     head = np.array(["[\n        " + o + ",\n        " for o in obj_text], dtype=object)
     tail = np.array([o + "\n      ]" for o in obj_text], dtype=object)
-    listed = [name_text[v] + ": " + _block((head[i] + tail[j]).tolist(), 2) for v, (i, j) in pairs]
     groups = [_block([obj_text[i] for i in sorted(c, key=obj.__getitem__)], 3) for c in clusters]
-    _write(args.out, _block([
-        '"vertices": ' + _block(vertices, 1),
-        '"edges": ' + _block(edges, 1),
-        '"pairs": ' + _block(listed, 1, "{}"),
-        '"clusters": ' + _block([_key(str(level)) + ": " + _block(groups, 2)], 1, "{}"),
-    ], 0, "{}"))
+    # the report is written section by section, each vertex's pairs as
+    # soon as they are laid out, so no more than one of them is held
+    with _opened(args.out) as fh:
+        fh.write('{\n  "vertices": ' + _block(vertices, 1) + ',\n  "edges": ' + _block(edges, 1)
+                 + ',\n  "pairs": ')
+        _write_block(fh, (name_text[v] + ": " + _block((head[i] + tail[j]).tolist(), 2)
+                          for v, (i, j) in pairs), 1, "{}")
+        fh.write(',\n  "clusters": ' + _block([_key(str(level)) + ": " + _block(groups, 2)], 1, "{}")
+                 + "\n}")
     if args.text:
         lines = ["Lattice vertices found       Level", ""]
         for lev in range(t.n_attributes, 0, -1):

@@ -123,12 +123,15 @@ class TreeLayout(NamedTuple):
     order[lo[node]:hi[node]], the left child's members first, so a
     terminal t sits at position lo[t].  parent is -1 at the root.  Parents
     have larger ids than their children, and a node's rank is node - n + 1.
+    height is 0 at a terminal and one more than the higher child's at an
+    internal node, so a node is higher than its children.
     """
 
     order: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     parent: np.ndarray
+    height: np.ndarray
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -259,9 +262,11 @@ class Dendrogram:
         """The tree as flat per-node arrays, built in two O(n) passes."""
         n = self.n_terminals
         size = [1] * n
+        height = [0] * n
         parent = [-1] * self.n_nodes
         for node, (a, b, _) in enumerate(self.merges, start=n):
             size.append(size[a] + size[b])
+            height.append(1 + max(height[a], height[b]))
             parent[a] = parent[b] = node
         lo = [0] * self.n_nodes
         for node in range(self.root, n - 1, -1):  # parents before children
@@ -271,7 +276,7 @@ class Dendrogram:
         lo = np.array(lo)
         order = np.empty(n, dtype=int)
         order[lo[:n]] = np.arange(n)
-        return TreeLayout(order, lo, lo + np.array(size), np.array(parent))
+        return TreeLayout(order, lo, lo + np.array(size), np.array(parent), np.array(height))
 
     def path_to_root(self, terminal: int):
         """Internal nodes met walking from a terminal up to the root."""

@@ -104,6 +104,10 @@ def load_csv(text_or_path, columns=None) -> Table:
     col_labels = tuple(h.strip() for h in header[1:] if has_row_labels) or tuple(
         h.strip() for h in header
     )
+    seen = {}
+    for k, label in enumerate(col_labels, start=2 if has_row_labels else 1):  # CSV column numbers
+        if seen.setdefault(label, k) != k:
+            raise ValueError(f"CSV column {k} repeats column label {label!r} of column {seen[label]}")
     if has_row_labels:
         row_labels = tuple(r[0].strip() for r in body)
         first = {}
@@ -128,9 +132,11 @@ def load_csv(text_or_path, columns=None) -> Table:
         raise ValueError(f"CSV line {line}, column {label!r}: {x!r} is not {kind}")
     table = Table(values, row_labels, col_labels)
     if columns:
-        for c in columns:
+        for k, c in enumerate(columns):
             if c not in col_labels:
                 raise ValueError(f"no column {c!r}; the columns are {', '.join(col_labels)}")
+            if c in columns[:k]:
+                raise ValueError(f"column {c!r} selected twice")
         idx = [col_labels.index(c) for c in columns]
         table = Table(values[:, idx], row_labels, tuple(columns))
     return table

@@ -78,6 +78,23 @@ class HaarTransform:
         return out
 
 
+def _height_passes(dend: Dendrogram) -> list:
+    """(nodes, left children, right children) as arrays, one triple per
+    height of the internal nodes, lowest first.
+
+    A node is higher than its children, so a bottom-up pass run in this
+    order, or a top-down pass run in reverse, reads only rows that an
+    earlier step wrote: one numpy step per height, each doing for every
+    node of its height the float operations of one per-merge step.
+    """
+    n = dend.n_terminals
+    height = dend.layout.height[n:]
+    order = np.argsort(height, kind="stable")
+    kids = np.array([(a, b) for a, b, _ in dend.merges], dtype=int).reshape(-1, 2)[order]
+    cuts = np.flatnonzero(np.diff(height[order])) + 1
+    return list(zip(np.split(order + n, cuts), np.split(kids[:, 0], cuts), np.split(kids[:, 1], cuts)))
+
+
 def forward(dend: Dendrogram, data) -> HaarTransform:
     """Forward transform of one data row per terminal."""
     x = data.values if isinstance(data, Table) else np.asarray(data, float)
@@ -88,8 +105,8 @@ def forward(dend: Dendrogram, data) -> HaarTransform:
     n = dend.n_terminals
     smooths = np.empty((dend.n_nodes, x.shape[1]))
     smooths[:n] = x
-    for node, (a, b, _) in enumerate(dend.merges, start=n):
-        smooths[node] = 0.5 * (smooths[a] + smooths[b])
+    for nodes, a, b in _height_passes(dend):
+        smooths[nodes] = 0.5 * (smooths[a] + smooths[b])
     right = [b for _, b, _ in dend.merges]
     return HaarTransform(dend, smooths[dend.root].copy(), smooths[n:] - smooths[right])
 
@@ -114,16 +131,15 @@ def reconstruct_one(ht: HaarTransform, terminal: int) -> np.ndarray:
 
 
 def _node_rows(ht: HaarTransform) -> np.ndarray:
-    """Row of every node (by node id), in one top-down pass with the sums
-    of _path_rows, so a node's row is bitwise its partial sum."""
+    """Row of every node (by node id), in one top-down pass by height with
+    the sums of _path_rows, so a node's row is bitwise its partial sum."""
     dend, n = ht.dend, ht.dend.n_terminals
     rows = np.empty((dend.n_nodes, ht.m))
     rows[dend.root] = ht.smooth
-    for node in range(dend.root, n - 1, -1):
-        a, b = dend.children(node)
-        d = ht.details[node - n]
-        rows[a] = rows[node] + d
-        rows[b] = rows[node] - d
+    for nodes, a, b in reversed(_height_passes(dend)):
+        d = ht.details[nodes - n]
+        rows[a] = rows[nodes] + d
+        rows[b] = rows[nodes] - d
     return rows
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "encode",
     "decimal_value",
     "decimal_values",
+    "decimal_texts",
     "check_uniqueness",
     "dilate",
     "cluster_chain",
@@ -85,22 +86,44 @@ def decimal_value(code: PadicCode) -> int:
     return sum(c * code.p**j for j, c in code.coeffs.items())
 
 
-def decimal_values(dend: Dendrogram, p: int) -> list:
-    """Exact decimal values of all terminals, by terminal id.
+def _top_down_values(dend: Dendrogram, p: int, one) -> list:
+    """Decimal values of all terminals, by terminal id, as multiples of
+    one (1, or a Decimal 1 under an exact context).
 
     One top-down pass: val[child] = val[node] +- p**rank(node), so n - 1
     big-integer additions in all.
     """
     if not _is_prime(p):
         raise ValueError(f"base {p} is not prime")
-    power = [1, *accumulate([p] * (dend.n_terminals - 1), mul)]
-    vals = [0] * dend.n_nodes
-    for node in range(dend.root, dend.n_terminals - 1, -1):
-        a, b = dend.children(node)
-        step = power[dend.rank(node)]
-        vals[a] = vals[node] + step
-        vals[b] = vals[node] - step
-    return vals[:dend.n_terminals]
+    n = dend.n_terminals
+    power = list(accumulate([p] * (n - 1), mul, initial=one))
+    vals = [one - one] * dend.n_nodes
+    for rank in range(n - 1, 0, -1):  # node n - 1 + rank, parents first
+        a, b, _ = dend.merges[rank - 1]
+        vals[a] = vals[n - 1 + rank] + power[rank]
+        vals[b] = vals[n - 1 + rank] - power[rank]
+    return vals[:n]
+
+
+def decimal_values(dend: Dendrogram, p: int) -> list:
+    """Exact decimal values of all terminals, by terminal id."""
+    return _top_down_values(dend, p, 1)
+
+
+def decimal_texts(dend: Dendrogram, p: int) -> list:
+    """str of each of decimal_values, by terminal id, in linear time.
+
+    CPython turns an int into decimal text in time quadratic in its
+    digits, and refuses past sys.get_int_max_str_digits() of them.  The
+    values are computed as decimal.Decimal integers instead, whose text
+    is their stored digits.  The arithmetic runs in a context of maximal
+    precision that traps Inexact, so no value is ever rounded.
+    """
+    import decimal  # here, not at the top: importing umtree.cli leaves it out
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        return list(map(str, _top_down_values(dend, p, decimal.Decimal(1))))
 
 
 def check_uniqueness(dend: Dendrogram, p: int) -> bool:

@@ -17,6 +17,16 @@ def random_dendrogram(rng, n, rank_levels=False):
     return Dendrogram(n, tuple(merges))
 
 
+def caterpillar(n, alternate):
+    """A tree of depth n - 1: merge r joins the tree so far with terminal r,
+    the tree on the left, or on alternating sides when alternate."""
+    merges, node = [], 0
+    for r in range(1, n):
+        merges.append((r, node, float(r)) if alternate and r % 2 else (node, r, float(r)))
+        node = n - 1 + r
+    return Dendrogram(n, tuple(merges))
+
+
 def random_points(rng, n, m, scale=1.0):
     return rng.normal(size=(n, m)) * scale
 

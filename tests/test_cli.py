@@ -140,6 +140,9 @@ class TestCluster:
 
     @pytest.mark.parametrize("body, argv, message", [
         (",a,b\nr1,1,2\n", ["--columns", "zz"], "no column 'zz'; the columns are a, b"),
+        (",a,b\nr1,1,2\n", ["--columns", "a", "b", "a"], "column 'a' selected twice"),
+        (",a,b, a\nr1,1,2,3\n", [], "CSV column 4 repeats column label 'a' of column 2"),
+        ("a,b,b\n0,1,2\n", [], "CSV column 3 repeats column label 'b' of column 2"),
         (",a,b\nr1,1,2\nr2,x,3\n", [], "CSV line 3, column 'a': 'x' is not a number"),
         ("a,b\n0,1\nnan,2\n", [], "CSV line 3, column 'a': 'nan' is not a finite number"),
         (",a,b\nr1,1,2\nr2,3,1e999\n", [], "CSV line 3, column 'b': '1e999' is not a finite number"),
@@ -312,6 +315,22 @@ class TestGenum:
         assert "v1,v2,v3" in text
         assert "d(a,c)" in text
 
+    def test_repeated_column_label_rejected(self, tmp_path, capsys):
+        # two vertices named "a", and a "pairs" object with a repeated key
+        bad = tmp_path / "dup.csv"
+        bad.write_text(",a,a\nx,1,0\ny,1,1\n")
+        out = tmp_path / "g.json"
+        assert main(["genum", "--input", str(bad), "--out", str(out)]) == 2
+        assert "CSV column 3 repeats column label 'a' of column 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stdout_is_the_file_and_a_newline(self, tmp_path, capsys):
+        argv = ["genum", "--input", str(DATA / "genum_40x5.csv"), "--level", "2"]
+        assert main(argv + ["--out", str(tmp_path / "g.json")]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (tmp_path / "g.json").read_text() + "\n"
+
     def test_non_boolean_rejected(self, tmp_path, iris_csv, capsys):
         assert main(["genum", "--input", str(iris_csv), "--out", "x"]) == 2
         assert "only 0 and 1" in capsys.readouterr().err
@@ -364,6 +383,17 @@ class TestTreeGoldens:
 def test_cli_import_leaves_out_networkx():
     src = Path(umtree.__file__).resolve().parents[1]
     code = "import sys, umtree.cli; print('networkx' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert run.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_decimal():
+    """decimal is imported by padic's writer when it runs; setup_s times
+    the import of umtree.cli."""
+    src = Path(umtree.__file__).resolve().parents[1]
+    code = "import sys, umtree.cli; print('decimal' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)

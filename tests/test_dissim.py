@@ -297,6 +297,18 @@ class TestCsv:
         with pytest.raises(ValueError, match=r"CSV line 5 repeats row label 'b' of line 3"):
             load_csv(",x\na,1\n b,2\n\nb ,3\n")  # labels are stripped; blank lines count
 
+    def test_duplicate_column_label_named(self):
+        # a repeated label would name two genum vertices alike
+        with pytest.raises(ValueError, match=r"CSV column 3 repeats column label 'a' of column 2"):
+            load_csv(",a,a\nr1,1,2\n")
+        with pytest.raises(ValueError, match=r"CSV column 3 repeats column label 'b' of column 1"):
+            load_csv("b,c,b \n1,2,3\n")  # labels are stripped; no row labels here
+
+    def test_column_selected_twice_named(self):
+        # it would count the column twice in every distance
+        with pytest.raises(ValueError, match=r"column 'a' selected twice"):
+            load_csv("a,b,c\n1,2,3\n", columns=["a", "c", "a"])
+
     def test_missing_file_named(self, tmp_path):
         path = str(tmp_path / "no_such.csv")
         with pytest.raises(FileNotFoundError, match="no_such.csv"):

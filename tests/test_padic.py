@@ -1,3 +1,6 @@
+import decimal
+import sys
+
 import pytest
 
 from umtree import (
@@ -7,14 +10,16 @@ from umtree import (
     check_uniqueness,
     cluster_chain,
     decimal_value,
+    decimal_values,
     dilate,
     encode,
     euclidean_matrix,
     nn_chain_cluster,
 )
 from umtree.datasets import ranked_demo_tree
+from umtree.padic import decimal_texts
 
-from conftest import random_dendrogram, random_points
+from conftest import caterpillar, random_dendrogram, random_points
 
 
 def two_leaf():
@@ -82,6 +87,55 @@ class TestDecimal:
     def test_exact_big_values(self):
         code = PadicCode(3, {j: 1 for j in range(1, 64)})
         assert decimal_value(code) == (3**64 - 3) // 2
+
+
+def balanced(n):
+    """A tree of depth about log2(n): each merge joins the two oldest roots."""
+    roots, merges = list(range(n)), []
+    for node in range(n, 2 * n - 1):
+        merges.append((roots.pop(0), roots.pop(0), float(node)))
+        roots.append(node)
+    return Dendrogram(n, tuple(merges))
+
+
+class TestDecimalTexts:
+    """decimal_texts computes in Decimal what decimal_values computes in int."""
+
+    @staticmethod
+    def int_texts(dend, p):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return [str(v) for v in decimal_values(dend, p)]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    # at p = 10007 every value of an 1100-terminal tree has about 4400
+    # digits (the root's rank is on every path), past the 4300 that
+    # str(int) allows by default
+    @pytest.mark.parametrize("shape", [caterpillar, balanced])
+    @pytest.mark.parametrize("p", [2, 3, 5, 10007])
+    def test_equal_str_of_int(self, shape, p):
+        dend = shape(1100, True) if shape is caterpillar else shape(1100)
+        texts = decimal_texts(dend, p)
+        assert texts == self.int_texts(dend, p)
+        assert (max(map(len, texts)) > 4300) == (p == 10007)
+
+    def test_small_trees(self, rng):
+        for dend in [Dendrogram(1, ()), two_leaf(), ranked_demo_tree(), random_dendrogram(rng, 40)]:
+            assert decimal_texts(dend, 3) == self.int_texts(dend, 3)
+
+    def test_exact_whatever_the_callers_context(self):
+        dend = caterpillar(300, False)
+        want = self.int_texts(dend, 3)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 28  # the default: 143-digit values would be rounded
+            assert decimal_texts(dend, 3) == want
+            assert decimal.getcontext().prec == 28
+
+    def test_non_prime_rejected(self):
+        with pytest.raises(ValueError, match="base 4 is not prime"):
+            decimal_texts(two_leaf(), 4)
 
 
 class TestUniqueness:

@@ -31,9 +31,10 @@ from umtree import (
     verify_ultrametric,
 )
 from umtree.dendrogram import _BLOCK
+from umtree.haar import _node_rows
 from umtree.padic import dilation_cluster_map
 
-from conftest import random_dendrogram
+from conftest import caterpillar, random_dendrogram
 
 
 # -- oracles: the previous implementations, on plain dicts and frozensets --
@@ -99,6 +100,30 @@ def oracle_forward(dend, x):
         details[r] = s - smooths[b]
         smooths[dend.n_terminals - 1 + r] = s
     return smooths[dend.root], details
+
+
+def oracle_forward_per_merge(dend, x):
+    """forward's smooth and details, the smooths made one merge at a time."""
+    n = dend.n_terminals
+    smooths = np.empty((dend.n_nodes, x.shape[1]))
+    smooths[:n] = x
+    for node, (a, b, _) in enumerate(dend.merges, start=n):
+        smooths[node] = 0.5 * (smooths[a] + smooths[b])
+    right = [b for _, b, _ in dend.merges]
+    return smooths[dend.root].copy(), smooths[n:] - smooths[right]
+
+
+def oracle_node_rows_per_merge(ht):
+    """_node_rows one merge at a time, from the root down."""
+    dend, n = ht.dend, ht.dend.n_terminals
+    rows = np.empty((dend.n_nodes, ht.m))
+    rows[dend.root] = ht.smooth
+    for node in range(dend.root, n - 1, -1):
+        a, b = dend.children(node)
+        d = ht.details[node - n]
+        rows[a] = rows[node] + d
+        rows[b] = rows[node] - d
+    return rows
 
 
 def oracle_threshold_regress(ht, tau):
@@ -287,6 +312,19 @@ def tree_data(draw):
     return dend, x
 
 
+@st.composite
+def overflowing_tree_data(draw):
+    """tree_data, or rows of +-1e308 (some or all) whose smooths overflow
+    to +-inf and whose details and node rows then hold inf and NaN."""
+    dend, x = draw(tree_data())
+    kind = draw(st.sampled_from(["finite", "huge", "mixed"]))
+    if kind != "finite":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        huge = rng.choice([1e308, -1e308], size=x.shape)
+        x = huge if kind == "huge" else np.where(rng.random(x.shape) < 0.5, huge, x)
+    return dend, x
+
+
 FAULTS = ["none", "shape", "count", "range", "reuse", "level", "monotone", "labels"]
 
 
@@ -401,6 +439,24 @@ def test_forward_equals_dict_of_details(case):
         assert_bits(ht.details[r - 1], details[r])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowed smooths
+@settings(max_examples=150, deadline=None)
+@given(overflowing_tree_data())
+@example(SMALL_TREES[0])
+@example(SMALL_TREES[1])
+@example((caterpillar(200, True), np.random.default_rng(199).normal(size=(200, 3))))
+@example((caterpillar(200, False), np.full((200, 2), 1e308)))
+def test_passes_by_height_equal_per_merge_steps(case):
+    """forward and _node_rows take one numpy step per height, the oracles
+    one per merge; the arrays must hold the same bytes, NaN and inf too."""
+    dend, x = case
+    ht = forward(dend, x)
+    smooth, details = oracle_forward_per_merge(dend, x)
+    assert_bits(ht.smooth, smooth)
+    assert_bits(ht.details, details)
+    assert_bits(_node_rows(ht), oracle_node_rows_per_merge(ht))
+
+
 @settings(max_examples=100, deadline=None)
 @given(tree_data())
 @example(SMALL_TREES[0])
@@ -413,6 +469,17 @@ def test_reconstruct_one_is_chain_end_and_inverse_row(case):
         row = reconstruct_one(ht, t)
         assert_bits(row, approximation_chain(ht, t)[-1][0])
         assert_bits(row, rows[t])
+
+
+@settings(max_examples=100, deadline=None)
+@given(dendrograms())
+def test_layout_height_is_longest_path_down(dend):
+    tree = OracleTree(dend)
+    height = [0] * dend.n_nodes
+    for t in range(dend.n_terminals):
+        for up, node in enumerate(tree.path_to_root(t), start=1):
+            height[node] = max(height[node], up)
+    assert dend.layout.height.tolist() == height
 
 
 @settings(max_examples=100, deadline=None)

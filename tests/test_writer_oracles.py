@@ -28,6 +28,8 @@ from umtree import Dendrogram, euclidean_matrix, genlattice, haar, nn_chain_clus
 from umtree.cli import _chain_json, main
 from umtree.dissim import load_csv, setvalued_table
 
+from conftest import caterpillar
+
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowed rows
 
 
@@ -237,16 +239,6 @@ def test_writers_equal_json_dumps(case):
 # -- deep and large trees ------------------------------------------------------
 
 
-def caterpillar(n, alternate):
-    """A tree of depth n - 1: merge r joins the tree so far with terminal r,
-    the tree on the left, or on alternating sides when alternate."""
-    merges, node = [], 0
-    for r in range(1, n):
-        merges.append((r, node, float(r)) if alternate and r % 2 else (node, r, float(r)))
-        node = n - 1 + r
-    return Dendrogram(n, tuple(merges))
-
-
 @pytest.mark.parametrize("alternate", [False, True])
 def test_writers_on_caterpillar(tmp_path, alternate):
     n = 300
@@ -263,6 +255,21 @@ def test_writers_on_caterpillar(tmp_path, alternate):
     assert run(tmp_path, ["wavelet", "forward", "--csv", str(tmp_path / "table.csv")] + data) == want_json
     assert (tmp_path / "table.csv").read_text() == want_csv
     assert run(tmp_path, ["wavelet", "chain"] + data) == oracle_chain(ht, table)
+
+
+def test_forward_table_with_percent_labels(tmp_path):
+    """The --csv table is one % over a template that holds the column
+    labels, so a % in a label must come out as itself."""
+    dend = caterpillar(4, True)
+    (tmp_path / "tree.json").write_text(dend.to_json())
+    x = np.random.default_rng(4).normal(size=(4, 3))
+    lines = ["%s,%d%%,a%"] + [",".join(repr(float(v)) for v in row) for row in x]
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    run(tmp_path, ["wavelet", "forward", "--data", str(tmp_path / "data.csv"),
+                   "--csv", str(tmp_path / "table.csv")])
+    table = load_csv(tmp_path / "data.csv")
+    assert table.col_labels == ("%s", "%d%%", "a%")
+    assert (tmp_path / "table.csv").read_text() == oracle_forward(haar.forward(dend, table), table)[1]
 
 
 def test_padic_writes_no_per_terminal_codes(tmp_path, monkeypatch):
@@ -375,13 +382,9 @@ def test_genum_text_equals_old_loop(case):
         assert (tmp / "out.txt").read_text(encoding="utf-8") == oracle_genum_text(table, level)
 
 
-def test_genum_peak_memory(tmp_path):
+def genum_peak(tmp_path):
     """tracemalloc peak of genum --out --text on a 400x10 Bernoulli(0.6)
-    table (79 800 pairs; 4.2 MB of JSON, 1.0 MB of text).  Grouping the
-    pairs as lists of (i, j) tuples peaked at 20 998 989 to 20 999 786
-    bytes (Python 3.11); the bound is 90% of that.  Index arrays per
-    distance, with each vertex's pair text gathered from them, peak at
-    about 16.7 MB."""
+    table (79 800 pairs; 4.2 MB of JSON, 1.0 MB of text)."""
     x = (np.random.default_rng(400).random((400, 10)) < 0.6).astype(int)
     lines = [",".join(f"a{j}" for j in range(10))] + [",".join(map(str, r)) for r in x.tolist()]
     (tmp_path / "b.csv").write_text("\n".join(lines) + "\n")
@@ -391,10 +394,24 @@ def test_genum_peak_memory(tmp_path):
     tracemalloc.start()
     try:
         assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 18_900_000
+
+
+def test_genum_peak_memory(tmp_path):
+    """Grouping the pairs as lists of (i, j) tuples peaked at 20 998 989
+    to 20 999 786 bytes (Python 3.11); the bound is 90% of that.  Index
+    arrays per distance, with each vertex's pair text gathered from them,
+    peak at about 16.7 MB."""
+    assert genum_peak(tmp_path) <= 18_900_000
+
+
+def test_genum_streamed_peak_memory(tmp_path):
+    """genum writes each section of its JSON, and each vertex's pairs, as
+    soon as they exist: about 7.7 MB (Python 3.11), where joining the
+    whole report peaked at about 16.7 MB."""
+    assert genum_peak(tmp_path) <= 10_000_000
 
 
 def test_chain_json_peak_memory():
