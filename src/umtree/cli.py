@@ -120,12 +120,13 @@ def cmd_cluster(args) -> int:
     table = load_csv(args.input, columns=args.columns)
     crit = linkage.MergeCriterion(args.criterion)
     m = euclidean_matrix(table)
+    # nothing reads m again, so the chain and naive drivers work in it
     if crit is linkage.MergeCriterion.SINGLE:
         dend = linkage.mst_cluster(m, labels=table.row_labels)
     elif crit.reducible:
-        dend = linkage.nn_chain_cluster(m, crit, labels=table.row_labels)
+        dend = linkage.nn_chain_cluster(m, crit, labels=table.row_labels, overwrite_input=True)
     else:
-        dend = linkage.naive_cluster(m, crit, labels=table.row_labels)
+        dend = linkage.naive_cluster(m, crit, labels=table.row_labels, overwrite_input=True)
     if args.levels == "rank":
         dend = dend.with_rank_levels()
     _write(args.out, dend.to_json())

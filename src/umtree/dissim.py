@@ -101,9 +101,14 @@ def load_csv(text_or_path, columns=None) -> Table:
     has_row_labels = header[0].strip() == "" or not all(
         numeric(r[0]) for r in body
     )
-    col_labels = tuple(h.strip() for h in header[1:] if has_row_labels) or tuple(
-        h.strip() for h in header
-    )
+    col_labels = tuple(h.strip() for h in header[int(has_row_labels):])
+    if not col_labels:  # the only column holds the row labels
+        if header[0].strip() == "":
+            cause = f"CSV line {rows[0][0]}, column 1: the header cell is empty"
+        else:
+            line, x = next((line, r[0]) for line, r in rows[1:] if not numeric(r[0]))
+            cause = f"CSV line {line}, column {header[0].strip()!r}: {x!r} is not a number"
+        raise ValueError(f"{cause}, so the column holds row labels and no data column is left")
     seen = {}
     for k, label in enumerate(col_labels, start=2 if has_row_labels else 1):  # CSV column numbers
         if seen.setdefault(label, k) != k:

@@ -91,28 +91,47 @@ def lance_williams_update(d_ki, d_kj, d_ij, sizes, crit) -> float:
     """
     n_i, n_j, n_k = sizes if sizes is not None else (1, 1, 1)
     crit = _coerce(crit)
-    out = float(_lw_row(np.float64(d_ki), np.float64(d_kj), d_ij, n_k, n_i, n_j, crit))
+    out = _lw_row(np.float64(d_ki), np.float64(d_kj), d_ij, n_k, n_i, n_j, crit,
+                  np.empty(()), np.empty(())).item()
     if crit is MergeCriterion.MEDIAN and out < 0:
         warnings.warn("median update went negative (non-Euclidean input); clamped")
         return 0.0
     return out
 
 
-def _lw_row(d_i, d_j, d_ij, sizes_all, n_i, n_j, crit):
-    """Vectorized Lance-Williams update against all other clusters."""
+def _lw_row(d_i, d_j, d_ij, sizes_all, n_i, n_j, crit, out, tmp):
+    """Vectorized Lance-Williams update against all other clusters,
+    written into out and returned; tmp is a scratch array of out's shape.
+    out may be d_i itself: d_i is read before out is first written.
+    """
     if crit is MergeCriterion.SINGLE:
-        return np.minimum(d_i, d_j)
+        return np.minimum(d_i, d_j, out=out)
     if crit is MergeCriterion.COMPLETE:
-        return np.maximum(d_i, d_j)
+        return np.maximum(d_i, d_j, out=out)
     if crit is MergeCriterion.AVERAGE:
-        return (n_i * d_i + n_j * d_j) / (n_i + n_j)
+        # (n_i * d_i + n_j * d_j) / (n_i + n_j)
+        np.multiply(n_i, d_i, out=tmp)
+        np.multiply(n_j, d_j, out=out)
+        np.add(tmp, out, out=out)
+        return np.divide(out, n_i + n_j, out=out)
     if crit is MergeCriterion.WARD:
-        tot = n_i + n_j + sizes_all
-        return ((n_i + sizes_all) * d_i + (n_j + sizes_all) * d_j - sizes_all * d_ij) / tot
-    # median (Gower): midpoint of the two centroids.  With (i, j) the
-    # closest pair, d_i, d_j >= d_ij, and rounding is monotone, so the
-    # row is never negative
-    return 0.5 * d_i + 0.5 * d_j - 0.25 * d_ij
+        # ((n_i + n_k) * d_i + (n_j + n_k) * d_j - n_k * d_ij) / (n_i + n_j + n_k)
+        np.add(n_i, sizes_all, out=tmp)
+        np.multiply(tmp, d_i, out=tmp)
+        np.add(n_j, sizes_all, out=out)
+        np.multiply(out, d_j, out=out)
+        np.add(tmp, out, out=tmp)
+        np.multiply(sizes_all, d_ij, out=out)
+        np.subtract(tmp, out, out=tmp)
+        np.add(n_i + n_j, sizes_all, out=out)
+        return np.divide(tmp, out, out=out)
+    # median (Gower): midpoint of the two centroids, 0.5 d_i + 0.5 d_j -
+    # 0.25 d_ij.  With (i, j) the closest pair, d_i, d_j >= d_ij, and
+    # rounding is monotone, so the row is never negative
+    np.multiply(0.5, d_i, out=tmp)
+    np.multiply(0.5, d_j, out=out)
+    np.add(tmp, out, out=out)
+    return np.subtract(out, 0.25 * d_ij, out=out)
 
 
 def _checked_n(d) -> int:
@@ -133,16 +152,21 @@ class _Clusters:
     ids[:L].argmin() is the smallest live id.
     """
 
-    def __init__(self, m, crit):
+    def __init__(self, m, crit, overwrite_input):
         d = _as_matrix(m)  # exactly symmetric
         self.n = self.live = n = _checked_n(d)
+        own = overwrite_input and d.flags.writeable
         with _overflow_named(f"{crit.value} linkage squares the distances, "
                              "and a distance above 1.34e154 overflows float64"):
-            self.d = d**2 if crit.squared else d.copy()
+            if crit.squared:
+                self.d = np.square(d, out=d) if own else d**2
+            else:
+                self.d = d if own else d.copy()
         np.fill_diagonal(self.d, np.inf)
         self.crit = crit
         self.ids = np.arange(n)
         self.sizes = np.ones(n)
+        self.tmp = np.empty(n)  # the Lance-Williams scratch row
         self.raw = []
 
     def merge(self, a, b):
@@ -156,18 +180,18 @@ class _Clusters:
         d, ids, sizes = self.d, self.ids, self.sizes
         lo, hi = min(a, b), max(a, b)
         n_live = self.live
-        cost = float(d[lo, hi])
+        cost = d.item(lo, hi)
         row = _lw_row(d[lo, :n_live], d[hi, :n_live], cost, sizes[:n_live],
-                      sizes[lo], sizes[hi], self.crit)
+                      sizes.item(lo), sizes.item(hi), self.crit,
+                      d[lo, :n_live], self.tmp[:n_live])
         row[lo] = np.inf
-        d[lo, :n_live] = d[:n_live, lo] = row
+        d[:n_live, lo] = row
         sizes[lo] += sizes[hi]
-        self.raw.append((int(ids[lo]), int(ids[hi]), cost))
+        self.raw.append((ids.item(lo), ids.item(hi), cost))
         ids[lo] = self.n + len(self.raw) - 1
         self.live = last = n_live - 1
         if hi != last:
-            d[hi, :last] = d[last, :last]
-            d[:last, hi] = d[:last, last]
+            d[hi, :last] = d[:last, hi] = d[last, :last]  # the row reads faster
             d[hi, hi] = np.inf
             ids[hi] = ids[last]
             sizes[hi] = sizes[last]
@@ -215,7 +239,27 @@ def _finish(n, raw_merges, crit, labels=None):
     )
 
 
-def naive_cluster(m, crit, labels=None) -> Dendrogram:
+def _smallest_id_at_min(v, ids, mask):
+    """The slot of the smallest id among the minima of v (ids[:len(v)]
+    holds the slots' ids; mask is a bool scratch array at least as long).
+
+    Two argmins find the first and the last minimum; only when a third
+    can lie between them are the tied slots gathered.
+    """
+    live = len(v)
+    first = int(v.argmin())
+    last = live - 1 - int(v[::-1].argmin())
+    if first == last:
+        return first
+    low = v.item(first)
+    between = v[first + 1:last]
+    if not len(between) or between.item(between.argmin()) > low:  # two minima
+        return first if ids.item(first) < ids.item(last) else last
+    hits = np.flatnonzero(np.equal(v, low, out=mask[:live]))
+    return int(hits[ids[hits].argmin()])
+
+
+def naive_cluster(m, crit, labels=None, *, overwrite_input=False) -> Dendrogram:
     """Merge the globally closest pair, n-1 times, found from each row's
     cached nearest neighbour (Muellner's generic algorithm, without the
     heap): O(n^2) on typical data, O(n^3) at worst; any criterion.
@@ -229,9 +273,15 @@ def naive_cluster(m, crit, labels=None) -> Dendrogram:
     k keeps its neighbour unless the new cluster is strictly closer (the
     new id is the largest live id, so an older neighbour wins a tie),
     which also covers a median row that drops below k's minimum.
+
+    overwrite_input=True makes the matrix's own array the working matrix
+    (squared in place for ward and median) where the default works in a
+    copy, so a run holds one n x n matrix, not two.  The array's values
+    are then undefined, also when the run raises; a read-only array is
+    still copied.  By default the caller's array is never written.
     """
     crit = _coerce(crit)
-    c = _Clusters(m, crit)
+    c = _Clusters(m, crit, overwrite_input)
     d, ids = c.d, c.ids
     nn = d.argmin(axis=1)  # slots equal ids, so the first minimum is the smallest id
     dmin = d[np.arange(c.n), nn]
@@ -241,9 +291,8 @@ def naive_cluster(m, crit, labels=None) -> Dendrogram:
     with _updates_named(crit):
         while c.live > 1:
             live = c.live
-            hits = np.flatnonzero(np.equal(dmin[:live], dmin[:live].min(), out=mask[:live]))
-            a = int(hits[ids[hits].argmin()])
-            b = int(nn[a])
+            a = _smallest_id_at_min(dmin[:live], ids, mask)
+            b = nn.item(a)
             # rows that pointed at a child, both children among them: nn[a] == b,
             # and a is the smallest id at distance dmin[a] from b, so nn[b] == a
             np.equal(nn[:live], a, out=stale[:live])
@@ -264,14 +313,17 @@ def naive_cluster(m, crit, labels=None) -> Dendrogram:
     return _finish(c.n, c.raw, crit, labels)
 
 
-def nn_chain_cluster(m, crit, labels=None) -> Dendrogram:
-    """O(n^2) reciprocal-nearest-neighbor chain clustering."""
+def nn_chain_cluster(m, crit, labels=None, *, overwrite_input=False) -> Dendrogram:
+    """O(n^2) reciprocal-nearest-neighbor chain clustering.
+
+    overwrite_input is as for naive_cluster.
+    """
     crit = _coerce(crit)
     if not crit.reducible:
         raise ValueError(
             f"criterion {crit.value!r} is not reducible; use naive_cluster"
         )
-    c = _Clusters(m, crit)
+    c = _Clusters(m, crit, overwrite_input)
     d, ids = c.d, c.ids
     chain = []
     # numpy keeps freed blocks of up to 1 KB cached by size, so a new mask
@@ -283,12 +335,7 @@ def nn_chain_cluster(m, crit, labels=None) -> Dendrogram:
             if not chain:
                 chain.append(int(ids[:live].argmin()))  # the smallest live id
             x = chain[-1]
-            row = d[x, :live]
-            y = int(row.argmin())
-            tied = np.equal(row, row[y], out=tie[:live])
-            if np.count_nonzero(tied) > 1:
-                hits = np.flatnonzero(tied)
-                y = int(hits[ids[hits].argmin()])  # the smallest id on ties
+            y = _smallest_id_at_min(d[x, :live], ids, tie)
             if len(chain) >= 2 and y == chain[-2]:
                 chain.pop()
                 chain.pop()

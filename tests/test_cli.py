@@ -148,6 +148,8 @@ class TestCluster:
         (",a,b\nr1,1,2\nr2,3,1e999\n", [], "CSV line 3, column 'b': '1e999' is not a finite number"),
         ("a\n0\n1e160\n3e160\n7e160\n", [],
          "a squared Euclidean distance overflows float64"),
+        ("x\na\nb\n", [], "CSV line 2, column 'x': 'a' is not a number, "
+         "so the column holds row labels and no data column is left"),
     ])
     def test_bad_table_named(self, tmp_path, capsys, body, argv, message):
         bad = tmp_path / "bad.csv"

@@ -304,6 +304,17 @@ class TestCsv:
         with pytest.raises(ValueError, match=r"CSV column 3 repeats column label 'b' of column 1"):
             load_csv("b,c,b \n1,2,3\n")  # labels are stripped; no row labels here
 
+    @pytest.mark.parametrize("text, cause", [
+        ("x\na\nb\n", "CSV line 2, column 'x': 'a' is not a number"),
+        ("x\n1\n\nb\n", "CSV line 4, column 'x': 'b' is not a number"),
+        ('""\n1\n2\n', "CSV line 1, column 1: the header cell is empty"),
+    ])
+    def test_only_column_of_labels_named(self, text, cause):
+        # the one column is taken for row labels, which leaves no data
+        with pytest.raises(ValueError) as exc:
+            load_csv(text)
+        assert str(exc.value) == cause + ", so the column holds row labels and no data column is left"
+
     def test_column_selected_twice_named(self):
         # it would count the column twice in every distance
         with pytest.raises(ValueError, match=r"column 'a' selected twice"):

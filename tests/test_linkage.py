@@ -15,6 +15,7 @@ from umtree import (
     nn_chain_cluster,
     verify_ultrametric,
 )
+from umtree.cli import main
 from umtree.datasets import iris8
 
 from conftest import ROUNDING_INVERSIONS, random_points
@@ -295,11 +296,11 @@ class TestMemory:
     within a small multiple of one n x n float matrix."""
 
     @staticmethod
-    def peak_in_matrices(cluster, crit, n):
+    def peak_in_matrices(cluster, crit, n, **kw):
         m = euclidean_matrix(np.random.default_rng(0).normal(size=(n, 4)))
         tracemalloc.start()
         try:
-            cluster(m, crit)
+            cluster(m, crit, **kw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -316,3 +317,28 @@ class TestMemory:
         # the working matrix and O(n) arrays; 2.05 n^2 doubles when every
         # merge gathered the id-ordered block of live rows
         assert self.peak_in_matrices(naive_cluster, "median", 600) < 1.5
+
+    @pytest.mark.parametrize("cluster, crit, n", [
+        (nn_chain_cluster, "ward", 800), (naive_cluster, "median", 600),
+    ])
+    def test_in_place_holds_no_matrix(self, cluster, crit, n):
+        # O(n) arrays beyond the input: 0.12 and 0.09 n^2 doubles, where
+        # the squared copy made it 1.1
+        assert self.peak_in_matrices(cluster, crit, n, overwrite_input=True) < 0.3
+
+    @pytest.mark.parametrize("crit", ["ward", "median"])
+    def test_cli_cluster_one_matrix(self, tmp_path, crit):
+        # the Euclidean matrix is the working matrix: 1.12 n^2 doubles,
+        # where a squared copy of it made 2.11
+        n = 800
+        x = np.random.default_rng(1).normal(size=(n, 8))
+        path = tmp_path / "x.csv"
+        np.savetxt(path, x, delimiter=",", header=",".join(f"c{j}" for j in range(8)), comments="")
+        argv = ["cluster", "--input", str(path), "--criterion", crit, "--out", str(tmp_path / "t.json")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * n * 8) < 1.3

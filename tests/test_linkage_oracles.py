@@ -356,3 +356,46 @@ def test_rounding_inversion_ordered(crit):
     with pytest.raises(ValueError, match="out of range"):
         oracle_finish(m.n, raw[0], _coerce(crit), reorder=True)
     assert_same(checked_nn_chain_cluster(m, crit), oracle_nn_chain_cluster(m, crit))
+
+
+# -- the driver working in the caller's matrix -------------------------------
+
+
+def in_place_and_default(driver, x, crit):
+    """driver on a matrix of its own with overwrite_input=True, and on the
+    default path, which must leave the bytes of its input as they were."""
+    m = euclidean_matrix(x)
+    before = m.values.tobytes()
+    default = driver(m, crit)
+    assert m.values.tobytes() == before
+    return driver(euclidean_matrix(x), crit, overwrite_input=True), default
+
+
+@pytest.mark.filterwarnings("ignore:median update went negative")
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(tables(), st.sampled_from(list(ROUNDING_INVERSIONS.values()))))
+def test_overwrite_input_bit_identical(x):
+    # normal data, tied grids, and the grids that round a parent below its child
+    for crit in MergeCriterion:
+        own, default = in_place_and_default(linkage.naive_cluster, x, crit)
+        assert_same(own, default)
+        assert_same(own, oracle_naive_cluster(euclidean_matrix(x), crit))
+        if crit.reducible:
+            own, default = in_place_and_default(linkage.nn_chain_cluster, x, crit)
+            assert_same(own, default)
+            assert_same(own, oracle_nn_chain_cluster(euclidean_matrix(x), crit))
+
+
+@pytest.mark.parametrize("crit", ["ward", "average"])
+def test_overwrite_input_works_in_the_array(crit):
+    # a writable float64 array becomes the working matrix, with inf on its
+    # diagonal; a read-only one is copied
+    m = euclidean_matrix(np.random.default_rng(5).normal(size=(30, 3)))
+    v = m.values.copy()
+    expected = linkage.nn_chain_cluster(m, crit)
+    assert_same(linkage.nn_chain_cluster(v, crit, overwrite_input=True), expected)
+    assert np.isinf(np.diag(v)).all()
+    copied = m.values.copy()
+    copied.setflags(write=False)
+    assert_same(linkage.nn_chain_cluster(copied, crit, overwrite_input=True), expected)
+    assert copied.tobytes() == m.values.tobytes()
