@@ -172,17 +172,23 @@ class Dendrogram:
         if self.labels is not None:
             if len(self.labels) != n:
                 raise ValueError("labels must match n_terminals")
-            first = {}
-            for t, label in enumerate(self.labels):
-                try:
-                    seen_at = first.setdefault(label, t)
-                except TypeError:
-                    raise ValueError(f"label {label!r} is not hashable") from None
-                if seen_at != t:
-                    raise ValueError(f"label {label!r} repeated (terminals {seen_at} and {t})")
+            try:
+                unique = len(set(self.labels)) == n
+            except TypeError:
+                unique = False
+            if not unique:  # name the first unhashable or repeated label
+                first = {}
+                for t, label in enumerate(self.labels):
+                    try:
+                        seen_at = first.setdefault(label, t)
+                    except TypeError:
+                        raise ValueError(f"label {label!r} is not hashable") from None
+                    if seen_at != t:
+                        raise ValueError(f"label {label!r} repeated (terminals {seen_at} and {t})")
         merges = []
         level = [0.0] * n  # by node id: terminals, then each merge as it passes
-        seen = set()
+        used = bytearray(2 * n)  # by node id: 1 once it is a child
+        inf = math.inf
         for r, m in enumerate(given, start=1):
             try:
                 a, b, lev = m
@@ -193,13 +199,18 @@ class Dendrogram:
                         isinstance(a, Integral) and isinstance(b, Integral) and isinstance(lev, Real)):
                     raise ValueError(f"merge {r} is {m!r}, expected [a, b, level]")
                 a, b, lev = int(a), int(b), float(lev)
-            for c in (a, b):
-                if not 0 <= c < n - 1 + r:  # below its own node id
-                    raise ValueError(f"merge {r}: child id {c} out of range")
-                if c in seen:
-                    raise ValueError(f"child {c} used twice")
-                seen.add(c)
-            if not 0 <= lev < np.inf:  # also NaN
+            node = n - 1 + r  # each child's id is below it
+            if not 0 <= a < node:
+                raise ValueError(f"merge {r}: child id {a} out of range")
+            if used[a]:
+                raise ValueError(f"child {a} used twice")
+            used[a] = 1
+            if not 0 <= b < node:
+                raise ValueError(f"merge {r}: child id {b} out of range")
+            if used[b]:
+                raise ValueError(f"child {b} used twice")
+            used[b] = 1
+            if not 0 <= lev < inf:  # also NaN
                 raise ValueError(f"merge {r}: level {lev} is not finite and nonnegative")
             if level[a] > lev or level[b] > lev:
                 raise ValueError(f"merge {r}: level below child's (use monotone repair)")
@@ -266,13 +277,14 @@ class Dendrogram:
         parent = [-1] * self.n_nodes
         for node, (a, b, _) in enumerate(self.merges, start=n):
             size.append(size[a] + size[b])
-            height.append(1 + max(height[a], height[b]))
+            ha, hb = height[a], height[b]
+            height.append(1 + (ha if ha > hb else hb))
             parent[a] = parent[b] = node
         lo = [0] * self.n_nodes
-        for node in range(self.root, n - 1, -1):  # parents before children
-            a, b = self.children(node)
-            lo[a] = lo[node]
-            lo[b] = lo[node] + size[a]
+        # parents before children
+        for node, (a, b, _) in zip(range(self.root, n - 1, -1), reversed(self.merges)):
+            lo[a] = start = lo[node]
+            lo[b] = start + size[a]
         lo = np.array(lo)
         order = np.empty(n, dtype=int)
         order[lo[:n]] = np.arange(n)

@@ -21,6 +21,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -64,32 +65,50 @@ class Table:
         return self.values.shape[1]
 
 
+def _records(text) -> list:
+    """(CSV line number, fields) of each non-blank record of text, as
+    csv.reader reads them.  Text with no quote, CR or NUL and no line
+    longer than the field size limit is split on newlines and commas,
+    which gives the same records; any other text goes through csv.reader,
+    whose errors are raised as ValueError naming the line."""
+    lines = text.split("\n")
+    limit = csv.field_size_limit()
+    if not ('"' in text or "\r" in text or "\0" in text
+            or len(text) > limit and max(map(len, lines)) > limit):
+        return [(k, line.split(",")) for k, line in enumerate(lines, start=1) if line]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        return [(reader.line_num, r) for r in reader if r]
+    except csv.Error as exc:
+        raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
+
+
 def load_csv(text_or_path, columns=None) -> Table:
     """Read a CSV table: first row headers, first column row labels if
     its header cell is empty or non-numeric data appears there.
 
     text_or_path is a file object, CSV text (a string holding a newline)
-    or a path.  columns optionally selects a subset of column names.
+    or a path, read as UTF-8.  A leading byte order mark is dropped.
+    columns optionally selects a subset of column names.
     """
     if hasattr(text_or_path, "read"):
-        text = text_or_path.read()
+        text = text_or_path.read().removeprefix("\ufeff")
     elif isinstance(text_or_path, str) and "\n" in text_or_path:
-        text = text_or_path
+        text = text_or_path.removeprefix("\ufeff")
     else:
-        with open(text_or_path, "r", newline="") as fh:
+        with open(text_or_path, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
-    reader = csv.reader(io.StringIO(text))
-    rows = [(reader.line_num, r) for r in reader if r]
+    rows = _records(text)
     if len(rows) < 2:
         raise ValueError("CSV needs a header row and at least one data row")
     header = rows[0][1]
-    for line, r in rows[1:]:
-        if len(r) != len(header):
-            raise ValueError(
-                f"CSV line {line} (row {r[0].strip()!r}) has {len(r)} fields, "
-                f"expected {len(header)} as in the header row"
-            )
     body = [r for _, r in rows[1:]]
+    if set(map(len, body)) != {len(header)}:
+        line, r = next((line, r) for line, r in rows[1:] if len(r) != len(header))
+        raise ValueError(
+            f"CSV line {line} (row {r[0].strip()!r}) has {len(r)} fields, "
+            f"expected {len(header)} as in the header row"
+        )
 
     def numeric(s):
         try:
@@ -109,24 +128,26 @@ def load_csv(text_or_path, columns=None) -> Table:
             line, x = next((line, r[0]) for line, r in rows[1:] if not numeric(r[0]))
             cause = f"CSV line {line}, column {header[0].strip()!r}: {x!r} is not a number"
         raise ValueError(f"{cause}, so the column holds row labels and no data column is left")
-    seen = {}
-    for k, label in enumerate(col_labels, start=2 if has_row_labels else 1):  # CSV column numbers
-        if seen.setdefault(label, k) != k:
-            raise ValueError(f"CSV column {k} repeats column label {label!r} of column {seen[label]}")
+    if len(set(col_labels)) != len(col_labels):  # name the first repeat
+        seen = {}
+        for k, label in enumerate(col_labels, start=2 if has_row_labels else 1):  # CSV columns
+            if seen.setdefault(label, k) != k:
+                raise ValueError(f"CSV column {k} repeats column label {label!r} of column {seen[label]}")
     if has_row_labels:
         row_labels = tuple(r[0].strip() for r in body)
-        first = {}
-        for (line, _), label in zip(rows[1:], row_labels):
-            if first.setdefault(label, line) != line:
-                raise ValueError(
-                    f"CSV line {line} repeats row label {label!r} of line {first[label]}"
-                )
+        if len(set(row_labels)) != len(row_labels):  # name the first repeat
+            first = {}
+            for (line, _), label in zip(rows[1:], row_labels):
+                if first.setdefault(label, line) != line:
+                    raise ValueError(
+                        f"CSV line {line} repeats row label {label!r} of line {first[label]}"
+                    )
         data = [r[1:] for r in body]
     else:
         row_labels = None
         data = body
-    try:
-        values = np.array([[float(x) for x in r] for r in data])
+    try:  # one float() per cell, in row-major order
+        values = np.array(list(map(float, chain.from_iterable(data)))).reshape(len(data), len(col_labels))
     except ValueError:
         values = None
     if values is None or not np.isfinite(values).all():  # name the first bad cell

@@ -150,6 +150,8 @@ class TestCluster:
          "a squared Euclidean distance overflows float64"),
         ("x\na\nb\n", [], "CSV line 2, column 'x': 'a' is not a number, "
          "so the column holds row labels and no data column is left"),
+        (",a\nr1," + "1" * 140_000 + "\n", [], "CSV line 2: field larger than field limit (131072)"),
+        (",a,b\nr1,1,2\nr2,3\r4,5\n", [], "CSV line 3: new-line character seen in unquoted field"),
     ])
     def test_bad_table_named(self, tmp_path, capsys, body, argv, message):
         bad = tmp_path / "bad.csv"
@@ -158,6 +160,25 @@ class TestCluster:
         assert main(["cluster", "--input", str(bad), "--out", str(out), *argv]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_one_table_three_ways_one_tree(self, tmp_path):
+        # numeric row labels under an empty corner cell: a BOM read as
+        # data would make the corner a column label and the labels data
+        plain = ",a,b\n1,5,2\n2,3,4\n3,0,1\n"
+        texts = {
+            "plain": plain,
+            "crlf": ',"a",b\r\n"1",5,"2"\r\n2,3,4\r\n3,"0",1\r\n',
+            "bom": "\ufeff" + plain,
+        }
+        trees = []
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(text.encode("utf-8"))
+            out = tmp_path / f"{name}.json"
+            assert main(["cluster", "--input", str(path), "--out", str(out)]) == 0
+            trees.append(out.read_bytes())
+        assert trees[0] == trees[1] == trees[2]
+        assert json.loads(trees[0])["labels"] == ["1", "2", "3"]
 
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,7 @@
+import csv
 import io
+import math
+import re
 import tracemalloc
 import warnings
 from itertools import combinations
@@ -19,6 +22,7 @@ from umtree import (
     verify_metric,
 )
 from umtree.datasets import bool5, iris8
+from umtree import dissim
 from umtree.dissim import from_mask
 
 
@@ -40,6 +44,124 @@ def oracle_pairs_by_distance(t) -> dict:
     for (i, a), (j, b) in combinations(enumerate(t.rows), 2):
         groups.setdefault(full & ~(a & b), []).append((i, j))
     return groups
+
+
+def oracle_load_csv(text) -> Table:
+    """The earlier load_csv on CSV text: csv.reader for every text, and
+    one float() per cell in nested comprehensions."""
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, r) for r in reader if r]
+    if len(rows) < 2:
+        raise ValueError("CSV needs a header row and at least one data row")
+    header = rows[0][1]
+    for line, r in rows[1:]:
+        if len(r) != len(header):
+            raise ValueError(
+                f"CSV line {line} (row {r[0].strip()!r}) has {len(r)} fields, "
+                f"expected {len(header)} as in the header row"
+            )
+    body = [r for _, r in rows[1:]]
+
+    def numeric(s):
+        try:
+            float(s)
+            return True
+        except ValueError:
+            return False
+
+    has_row_labels = header[0].strip() == "" or not all(
+        numeric(r[0]) for r in body
+    )
+    col_labels = tuple(h.strip() for h in header[int(has_row_labels):])
+    if not col_labels:  # the only column holds the row labels
+        if header[0].strip() == "":
+            cause = f"CSV line {rows[0][0]}, column 1: the header cell is empty"
+        else:
+            line, x = next((line, r[0]) for line, r in rows[1:] if not numeric(r[0]))
+            cause = f"CSV line {line}, column {header[0].strip()!r}: {x!r} is not a number"
+        raise ValueError(f"{cause}, so the column holds row labels and no data column is left")
+    seen = {}
+    for k, label in enumerate(col_labels, start=2 if has_row_labels else 1):  # CSV column numbers
+        if seen.setdefault(label, k) != k:
+            raise ValueError(f"CSV column {k} repeats column label {label!r} of column {seen[label]}")
+    if has_row_labels:
+        row_labels = tuple(r[0].strip() for r in body)
+        first = {}
+        for (line, _), label in zip(rows[1:], row_labels):
+            if first.setdefault(label, line) != line:
+                raise ValueError(
+                    f"CSV line {line} repeats row label {label!r} of line {first[label]}"
+                )
+        data = [r[1:] for r in body]
+    else:
+        row_labels = None
+        data = body
+    try:
+        values = np.array([[float(x) for x in r] for r in data])
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():  # name the first bad cell
+        line, label, x = next((line, label, x) for (line, _), r in zip(rows[1:], data)
+                              for label, x in zip(col_labels, r)
+                              if not (numeric(x) and math.isfinite(float(x))))
+        kind = "a finite number" if numeric(x) else "a number"
+        raise ValueError(f"CSV line {line}, column {label!r}: {x!r} is not {kind}")
+    return Table(values, row_labels, col_labels)
+
+
+def assert_read_as_by_oracle(text):
+    """load_csv reads text, BOM or not, as the oracle reads it without the
+    BOM: an equal Table, the same ValueError, or csv.reader's error raised
+    as a ValueError that names the line csv.reader stopped on."""
+    plain = text.removeprefix("\ufeff")
+    try:
+        want = oracle_load_csv(plain)
+    except csv.Error as exc:
+        reader = csv.reader(io.StringIO(plain))
+        with pytest.raises(csv.Error):
+            list(reader)
+        with pytest.raises(ValueError) as got:
+            load_csv(io.StringIO(text))
+        assert str(got.value) == f"CSV line {reader.line_num}: {exc}"
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_csv(io.StringIO(text))
+        assert str(got.value) == str(exc)
+    else:
+        got = load_csv(io.StringIO(text))
+        assert got.values.shape == want.values.shape
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.row_labels == want.row_labels
+        assert got.col_labels == want.col_labels
+
+
+CSV_PIECES = [",", "\n", "\r", '"', "\0", " ", "0", "1", "7", "2.5", "-3", "a", "b", "Z", "nan"]
+CSV_LABELS = ["", "a", "b", "c", " a", "a ", '"b"', '"b,c"', '""', "1", "x\0y"]
+CSV_CELLS = ["0", "1", "2.5", "-3", " 1 ", '"7"', "1e999", "nan", "a", "", '"1,5"', '""']
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV-like texts: a header and rows of mostly numeric cells, with LF
+    or CRLF line ends, blank lines, quoted cells and now and then a ragged
+    row, or free text from CSV_PIECES; either may start with a BOM."""
+    if draw(st.integers(0, 3)):
+        width = draw(st.integers(1, 4))
+        numbers = st.sampled_from(CSV_CELLS[:4])
+        lines = [draw(st.lists(st.sampled_from(CSV_LABELS), min_size=width, max_size=width,
+                               unique=True))]
+        for k in range(draw(st.integers(1, 5))):
+            size = max(1, width + draw(st.sampled_from([0] * 12 + [-1, 1])))
+            label = draw(st.sampled_from([f"r{k}"] * 6 + CSV_LABELS + CSV_CELLS[:4]))
+            lines.append([label] + draw(st.lists(st.one_of(numbers, numbers, st.sampled_from(CSV_CELLS)),
+                                                 min_size=size - 1, max_size=size - 1)))
+        lines = [",".join(cells) for cells in lines]
+        lines = [line for line in lines for line in [line] + [""] * draw(st.sampled_from([0] * 5 + [1]))]
+        text = draw(st.sampled_from(["\n", "\n", "\r\n"])).join(lines)
+        text += draw(st.sampled_from(["", "\n", "\r\n", "\r"]))
+    else:
+        text = "".join(draw(st.lists(st.sampled_from(CSV_PIECES), max_size=40)))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
 
 
 @pytest.fixture(scope="module")
@@ -324,6 +446,95 @@ class TestCsv:
         path = str(tmp_path / "no_such.csv")
         with pytest.raises(FileNotFoundError, match="no_such.csv"):
             load_csv(path)
+
+
+@settings(max_examples=500, deadline=None)
+@given(csv_texts())
+def test_csv_read_as_by_csv_reader(text):
+    assert_read_as_by_oracle(text)
+
+
+class TestCsvSplitPath:
+    """Each precondition of the split path, taken and not taken: the
+    records, and so the table or the error, are csv.reader's either way."""
+
+    @pytest.fixture
+    def reader_calls(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return csv_reader(*args, **kwargs)
+
+        csv_reader = csv.reader
+        monkeypatch.setattr(dissim.csv, "reader", spy)
+        return calls
+
+    @pytest.mark.parametrize("text, by_reader", [
+        (",a,b\nr1,1,2\n\nr2,3,4\n", False),
+        ("a,b\n1,2\n3,4", False),  # no newline at the end
+        ("a, b \n 1,2\n", False),  # spaces are kept, then stripped as labels
+        ("a\u2028b,c\x1c\n1,2\x85\n", False),  # only \n ends a line
+        (",a,b\nr1,1,2\nr1,3,4\n", False),  # a repeated row label
+        (",a,a\nr1,1,2\n", False),  # a repeated column label
+        (",a,b\nr1,1,x\n", False),  # a cell that is not a number
+        (',"a",b\nr1,1,2\n', True),  # a quote
+        (',"a,b"\nr1,"1"\n', True),  # a comma inside quotes
+        (",a,b\r\nr1,1,2\r\n", True),  # CRLF
+        (",a,b\nr1,1,2\r", True),  # a CR at the end
+        (",a,b\nr1,1\r,2\n", True),  # a CR inside a row
+        (",a,b\nr\x001,1,2\n", True),  # NUL
+    ])
+    def test_precondition(self, reader_calls, text, by_reader):
+        self.assert_path(reader_calls, text, by_reader)
+
+    @staticmethod
+    def assert_path(reader_calls, text, by_reader):
+        assert_read_as_by_oracle(text)
+        reader_calls.clear()
+        try:
+            load_csv(text)
+        except ValueError:
+            pass
+        assert bool(reader_calls) == by_reader
+
+    @pytest.mark.parametrize("text, by_reader", [
+        (",a\nr,1\n", False),  # the text is above the limit, each line at most at it
+        (",a,b\nr,1,2\n", True),  # lines above it, each field within it
+        (",a\nr,1234\n", True),  # a field above it: csv.reader's error
+    ])
+    def test_line_longer_than_field_limit(self, reader_calls, text, by_reader):
+        old = csv.field_size_limit(3)
+        try:
+            self.assert_path(reader_calls, text, by_reader)
+        finally:
+            csv.field_size_limit(old)
+
+    def test_field_above_limit_named(self):
+        # csv.Error used to escape the CLI as a traceback with the usage code
+        text = ",a\nr1," + "1" * 140_000 + "\n"
+        with pytest.raises(ValueError) as exc:
+            load_csv(text)
+        assert str(exc.value) == f"CSV line 2: field larger than field limit ({csv.field_size_limit()})"
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        plain = ",a,b\n1,5,2\n2,3,4\n"
+        want = load_csv(plain)
+        assert want.row_labels == ("1", "2") and want.col_labels == ("a", "b")
+        path = tmp_path / "bom.csv"
+        path.write_bytes(("\ufeff" + plain).encode("utf-8"))
+        for source in (str(path), "\ufeff" + plain, io.StringIO("\ufeff" + plain)):
+            got = load_csv(source)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
+        got = load_csv("\ufeffa,b\n1,2\n", columns=["a"])
+        assert got.col_labels == ("a",) and got.row_labels is None
+
+    def test_path_read_as_utf8(self, tmp_path):
+        path = tmp_path / "utf8.csv"
+        path.write_bytes(",é,ü\nñ,1,2\n".encode("utf-8"))
+        t = load_csv(str(path))
+        assert t.col_labels == ("é", "ü") and t.row_labels == ("ñ",)
 
 
 class TestTable:

@@ -257,6 +257,28 @@ def oracle_validate(n, merges, labels=None):
     return tuple(converted)
 
 
+def oracle_layout(dend):
+    """The earlier Dendrogram.layout: max() for the height, and the
+    top-down pass reading each node's children with dend.children."""
+    n = dend.n_terminals
+    size = [1] * n
+    height = [0] * n
+    parent = [-1] * dend.n_nodes
+    for node, (a, b, _) in enumerate(dend.merges, start=n):
+        size.append(size[a] + size[b])
+        height.append(1 + max(height[a], height[b]))
+        parent[a] = parent[b] = node
+    lo = [0] * dend.n_nodes
+    for node in range(dend.root, n - 1, -1):  # parents before children
+        a, b = dend.children(node)
+        lo[a] = lo[node]
+        lo[b] = lo[node] + size[a]
+    lo = np.array(lo)
+    order = np.empty(n, dtype=int)
+    order[lo[:n]] = np.arange(n)
+    return order, lo, lo + np.array(size), np.array(parent), np.array(height)
+
+
 def oracle_strict_levels(dend):
     """The earlier check_strict_levels: a rule for internal children, and
     a separate positive-level rule for every internal node."""
@@ -482,6 +504,18 @@ def test_layout_height_is_longest_path_down(dend):
     assert dend.layout.height.tolist() == height
 
 
+@settings(max_examples=200, deadline=None)
+@given(dendrograms())
+@example(SMALL_TREES[0][0])
+@example(SMALL_TREES[1][0])
+@example(caterpillar(200, False))
+@example(caterpillar(200, True))
+def test_layout_equals_per_node_children_walk(dend):
+    for got, want in zip(dend.layout, oracle_layout(dend), strict=True):
+        assert got.dtype == want.dtype
+        assert_bits(got, want)
+
+
 @settings(max_examples=100, deadline=None)
 @given(dendrograms())
 def test_path_to_root_equals_parent_walk(dend):
@@ -635,3 +669,19 @@ def test_validation_equals_two_loop_check(case):
 @given(dendrograms())
 def test_strict_levels_equal_per_node_rules(dend):
     assert dend.check_strict_levels() == oracle_strict_levels(dend)
+
+
+@pytest.mark.parametrize("merges, message", [
+    # each child is checked in full, range then reuse, before the next:
+    # a reused first child is named ahead of an out-of-range second one
+    (((0, 1, 1.0), (0, 9, 2.0)), "child 0 used twice"),
+    (((0, 1, 1.0), (9, 0, 2.0)), "merge 2: child id 9 out of range"),
+    (((0, 1, 1.0), (2, 2, 2.0)), "child 2 used twice"),
+    (((0, 1, 1.0), (1, 3, -1.0)), "child 1 used twice"),
+])
+def test_validation_names_the_first_fault(merges, message):
+    with pytest.raises(ValueError) as want:
+        oracle_validate(3, merges)
+    with pytest.raises(ValueError) as got:
+        Dendrogram(3, merges)
+    assert str(got.value) == str(want.value) == message
