@@ -88,16 +88,22 @@ def load_csv(text_or_path, columns=None) -> Table:
     its header cell is empty or non-numeric data appears there.
 
     text_or_path is a file object, CSV text (a string holding a newline)
-    or a path, read as UTF-8.  A leading byte order mark is dropped.
-    columns optionally selects a subset of column names.
+    or a path, read as UTF-8 (a bad byte is named with its CSV line).  A
+    leading byte order mark is dropped.  columns selects column names.
     """
     if hasattr(text_or_path, "read"):
-        text = text_or_path.read().removeprefix("\ufeff")
+        text = text_or_path.read()
     elif isinstance(text_or_path, str) and "\n" in text_or_path:
-        text = text_or_path.removeprefix("\ufeff")
+        text = text_or_path
     else:
-        with open(text_or_path, "r", encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
+        with open(text_or_path, "rb") as fh:
+            raw = fh.read()
+        try:  # utf-8-sig would count error offsets from after a BOM
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{text_or_path}: CSV line {line}: byte {raw[exc.start]:#04x} is not UTF-8") from None
+    text = text.removeprefix("\ufeff")
     rows = _records(text)
     if len(rows) < 2:
         raise ValueError("CSV needs a header row and at least one data row")

@@ -91,8 +91,9 @@ def _height_passes(dend: Dendrogram) -> list:
     height = dend.layout.height[n:]
     order = np.argsort(height, kind="stable")
     kids = np.array([(a, b) for a, b, _ in dend.merges], dtype=int).reshape(-1, 2)[order]
-    cuts = np.flatnonzero(np.diff(height[order])) + 1
-    return list(zip(np.split(order + n, cuts), np.split(kids[:, 0], cuts), np.split(kids[:, 1], cuts)))
+    cuts = [0, *(np.flatnonzero(np.diff(height[order])) + 1).tolist(), len(order)]
+    nodes, a, b = order + n, kids[:, 0], kids[:, 1]
+    return [(nodes[i:j], a[i:j], b[i:j]) for i, j in zip(cuts, cuts[1:])]
 
 
 def forward(dend: Dendrogram, data) -> HaarTransform:
@@ -111,28 +112,16 @@ def forward(dend: Dendrogram, data) -> HaarTransform:
     return HaarTransform(dend, smooths[dend.root].copy(), smooths[n:] - smooths[right])
 
 
-def _path_rows(ht: HaarTransform, terminal: int) -> np.ndarray:
-    """Rows of the nodes on terminal's root path, root first (the
-    partial sums): entering a left child adds the node's detail, entering
-    a right child subtracts it, as in _node_rows."""
-    dend, n = ht.dend, ht.dend.n_terminals
-    path = dend.path_to_root(terminal)[::-1] + [terminal]
-    rows = np.empty((len(path), ht.m))
-    rows[0] = ht.smooth
-    for k, node in enumerate(path[:-1]):
-        d = ht.details[node - n]
-        rows[k + 1] = rows[k] + d if path[k + 1] == dend.children(node)[0] else rows[k] - d
-    return rows
-
-
 def reconstruct_one(ht: HaarTransform, terminal: int) -> np.ndarray:
-    """Single row: the last partial sum of approximation_chain."""
-    return _path_rows(ht, terminal)[-1]
+    """Single row: the last partial sum of approximation_chain, O(n m)."""
+    return approximation_chain(ht, terminal)[-1][0]
 
 
 def _node_rows(ht: HaarTransform) -> np.ndarray:
-    """Row of every node (by node id), in one top-down pass by height with
-    the sums of _path_rows, so a node's row is bitwise its partial sum."""
+    """Row of every node (by node id), in one top-down pass by height:
+    entering a left child adds the node's detail, entering a right child
+    subtracts it, so a node's row is the partial sum of the details on
+    its root path."""
     dend, n = ht.dend, ht.dend.n_terminals
     rows = np.empty((dend.n_nodes, ht.m))
     rows[dend.root] = ht.smooth
@@ -165,9 +154,12 @@ def approximation_chain(ht: HaarTransform, terminal: int):
 
     Details are added in root-to-terminal order; each element refines the
     previous one and the last equals the row (error 0).  Returns a list
-    of (partial sum, Euclidean error) pairs.
+    of (partial sum, Euclidean error) pairs.  The partial sums are read
+    from the all-node pass of inverse, bit for bit, so one call costs
+    O(n m), not O(depth m).
     """
-    rows = _path_rows(ht, terminal)
+    path = ht.dend.path_to_root(terminal)[::-1] + [terminal]
+    rows = _node_rows(ht)[path]
     return list(zip(rows, _row_norms(rows - rows[-1]).tolist()))
 
 

@@ -1,7 +1,9 @@
 """Hierarchical agglomerative clustering.
 
-Three drivers produce identical dendrograms when no two candidate
-merges tie (Muellner, arXiv:1109.2378, picks one per criterion):
+Three drivers make the same merges in the same order when no two
+candidate merges tie (Muellner, arXiv:1109.2378, picks one per
+criterion).  Their levels can differ in the last bits, since each runs
+the Lance-Williams updates in its own order.
 
 * mst_cluster -- single linkage only, O(n^2): Prim's minimum spanning
   tree, its edges joined in order of length; verify_ultrametric reads

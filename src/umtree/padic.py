@@ -157,18 +157,13 @@ def cluster_chain(dend: Dendrogram, terminal: int):
 
 def check_spherical_completeness(dend: Dendrogram) -> bool:
     """Executable witness: every maximal descending chain of clusters has
-    nonempty intersection.  Chains are enumerated by walking every
-    root-to-terminal path top-down."""
-    for t in range(dend.n_terminals):
-        chain = list(reversed(cluster_chain(dend, t)))
-        common = chain[0]
-        for q in chain[1:]:
-            if not q < common:
-                return False
-            common = common & q
-        if not common:
-            return False
-    return True
+    nonempty intersection.  The chains are root paths of layout slices
+    [lo, hi), so this holds iff each non-root node's slice is nonempty and
+    strictly inside its parent's: one O(n) pass, no member set built."""
+    lay = dend.layout
+    lo, hi = lay.lo.tolist(), lay.hi.tolist()
+    return all(lo[p] <= lo[c] < hi[c] <= hi[p] and hi[c] - lo[c] < hi[p] - lo[p]
+               for c, p in enumerate(lay.parent.tolist()) if p != -1)
 
 
 def dilation_cluster_map(dend: Dendrogram):

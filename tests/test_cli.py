@@ -118,6 +118,14 @@ class TestCluster:
         assert main(["cluster", "--input", path, "--out", "x"]) == 2
         assert path in capsys.readouterr().err
 
+    def test_byte_not_utf8_named(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b",a\nr\xe9,1\nr2,2\n")
+        out = tmp_path / "t.json"
+        assert main(["cluster", "--input", str(bad), "--out", str(out)]) == 2
+        assert f"error: {bad}: CSV line 2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("body, line", [
         ("r1,1,2\nr2,3\n", "line 3 (row 'r2') has 2 fields"),
         ("r1,1,2,4\nr2,3,5\n", "line 2 (row 'r1') has 4 fields"),

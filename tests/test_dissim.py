@@ -447,6 +447,26 @@ class TestCsv:
         with pytest.raises(FileNotFoundError, match="no_such.csv"):
             load_csv(path)
 
+    @pytest.mark.parametrize("raw, line, byte", [
+        (b",a\nr\xe9,1\nr2,2\n", 2, "0xe9"),  # Latin-1
+        (b"\xef\xbb\xbf,a\r\nr1,1\r\nr2,\xff\r\n", 3, "0xff"),  # after a BOM, CRLF ends
+        (b",a\nr1,1\nr2,\xc3", 3, "0xc3"),  # a sequence cut off at the end
+    ])
+    def test_byte_not_utf8_named(self, tmp_path, raw, line, byte):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as exc:
+            load_csv(str(path))
+        assert str(exc.value) == f"{path}: CSV line {line}: byte {byte} is not UTF-8"
+
+    def test_path_read_as_its_text(self, tmp_path):
+        raw = "\ufeff,\"\u00e9\",b\r\nr1,1,2\r\nr2,3,4\r\n".encode()
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        got, want = load_csv(str(path)), load_csv(raw.decode("utf-8-sig"))
+        assert got.col_labels == want.col_labels == ("\u00e9", "b")
+        assert got.row_labels == want.row_labels and got.values.tobytes() == want.values.tobytes()
+
 
 @settings(max_examples=500, deadline=None)
 @given(csv_texts())

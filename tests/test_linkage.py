@@ -114,8 +114,10 @@ class TestNNChain:
             a = nn_chain_cluster(m, crit)
             b = naive_cluster(m, crit)
             assert [tuple(x[:2]) for x in a.merges] == [tuple(x[:2]) for x in b.merges]
+            # the Lance-Williams updates run in another order, so the
+            # levels may differ in the last bits only
             np.testing.assert_allclose(
-                [x[2] for x in a.merges], [x[2] for x in b.merges], atol=1e-9
+                [x[2] for x in a.merges], [x[2] for x in b.merges], rtol=1e-14, atol=0
             )
 
     def test_levels_non_decreasing(self, rng):

@@ -216,6 +216,20 @@ class TestSphericalCompleteness:
         m = euclidean_matrix(random_points(rng, 20, 3))
         assert check_spherical_completeness(nn_chain_cluster(m, "ward"))
 
+    @pytest.mark.parametrize("child, lo, hi", [
+        (0, 0, 0),  # terminal 0 holds no member: the chain ends empty
+        (3, 0, 3),  # node 3 is its parent's whole slice: not strictly below
+        (1, 2, 3),  # terminal 1 escapes its parent node 3 = [0, 2)
+    ])
+    def test_layout_not_nested(self, child, lo, hi):
+        """The witness reads the layout alone, so a layout whose slices do
+        not nest strictly is refused."""
+        t = Dendrogram(3, ((0, 1, 1.0), (3, 2, 2.0)))
+        lay = t.layout
+        assert lay.lo.tolist() == [0, 1, 2, 0, 0] and lay.hi.tolist() == [1, 2, 3, 2, 3]
+        lay.lo[child], lay.hi[child] = lo, hi
+        assert not check_spherical_completeness(t)
+
 
 class TestDilationClusterMap:
     def test_merge_or_stay(self, rng):

@@ -18,6 +18,7 @@ from umtree import (
     DistanceMatrix,
     approximation_chain,
     canonicalize,
+    check_spherical_completeness,
     check_uniqueness,
     cophenetic_distance,
     cophenetic_matrix,
@@ -30,6 +31,7 @@ from umtree import (
     verify_metric,
     verify_ultrametric,
 )
+from umtree import padic
 from umtree.dendrogram import _BLOCK
 from umtree.haar import _node_rows
 from umtree.padic import dilation_cluster_map
@@ -150,6 +152,22 @@ def oracle_decimals(dend, p):
     return [
         sum(c * p**j for j, c in oracle_code(tree, t).items()) for t in range(tree.n)
     ]
+
+
+def oracle_spherical_completeness(dend):
+    """Every root-to-terminal chain of member sets, walked top-down, is
+    strictly descending and has a nonempty intersection."""
+    tree = OracleTree(dend)
+    for t in range(tree.n):
+        chain = [tree.members[node] for node in reversed(tree.path_to_root(t))] + [frozenset([t])]
+        common = chain[0]
+        for q in chain[1:]:
+            if not q < common:
+                return False
+            common = common & q
+        if not common:
+            return False
+    return True
 
 
 def oracle_violations(d, tol, ultra):
@@ -528,14 +546,23 @@ def test_path_to_root_equals_parent_walk(dend):
 
 @settings(max_examples=60, deadline=None)
 @given(tree_data())
+@example(SMALL_TREES[0])
+@example(SMALL_TREES[1])
 def test_approximation_chain_equals_per_terminal_walk(case):
     dend, x = case
     ht = forward(dend, x)
+    tree = OracleTree(dend)
     for t in range(dend.n_terminals):
         got, want = approximation_chain(ht, t), oracle_chain(ht, t)
-        assert [err for _, err in got] == [err for _, err in want]
-        for (a, _), (b, _) in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        assert_bits([err for _, err in got], [err for _, err in want])
+        for (a, _), (b, _) in zip(got, want, strict=True):
+            assert_bits(a, b)
+        assert_bits(reconstruct_one(ht, t), oracle_reconstruct_one(ht, tree, t))
+    for node in (-1, dend.n_terminals, dend.root + 1):
+        with pytest.raises(IndexError):
+            approximation_chain(ht, node)
+        with pytest.raises(IndexError):
+            reconstruct_one(ht, node)
 
 
 @settings(max_examples=60, deadline=None)
@@ -608,6 +635,28 @@ def _one_row_last_block():
 def test_cophenetic_matrix_over_row_blocks(n):
     dend = random_dendrogram(np.random.default_rng(n), n)
     np.testing.assert_array_equal(cophenetic_matrix(dend).values, oracle_cophenetic(dend))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dendrograms())
+@example(SMALL_TREES[0][0])
+@example(SMALL_TREES[1][0])
+@example(caterpillar(100, False))
+@example(caterpillar(100, True))
+def test_spherical_completeness_equals_member_set_chains(dend):
+    assert check_spherical_completeness(dend) == oracle_spherical_completeness(dend)
+
+
+def test_spherical_completeness_reads_no_member_sets(monkeypatch):
+    """The witness is one pass over the layout: on a 3000-terminal
+    caterpillar, where the member-set chains are cubic, it builds no
+    member set and no cluster chain."""
+    def refuse(*args):
+        raise AssertionError("member sets built")
+
+    monkeypatch.setattr(Dendrogram, "members", refuse)
+    monkeypatch.setattr(padic, "cluster_chain", refuse)
+    assert check_spherical_completeness(caterpillar(3000, True))
 
 
 @settings(max_examples=150, deadline=None)
