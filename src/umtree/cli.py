@@ -10,6 +10,8 @@ import argparse
 import contextlib
 import functools
 import json
+import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -33,13 +35,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _overwrite(path, flags):
+    """open()'s opener for "w" without O_TRUNC: the old bytes stay until
+    they are written over, which costs less than truncating them first."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 @contextlib.contextmanager
 def _opened(path):
     """The stream a report is written to, whole or piece by piece: the
-    file at path, or stdout, ended with a newline as print ends it."""
+    file at path, or stdout, ended with a newline as print ends it.
+
+    A file is written over in place, and a regular one is then cut to
+    what was written, even if the writing fails; /dev/null is not cut."""
     if path:
-        with open(path, "w") as fh:
-            yield fh
+        with open(path, "w", opener=_overwrite) as fh:
+            try:
+                yield fh
+            finally:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
     else:
         yield sys.stdout
         sys.stdout.write("\n")
@@ -131,7 +146,7 @@ def cmd_cluster(args) -> int:
         dend = dend.with_rank_levels()
     _write(args.out, dend.to_json())
     if args.newick:
-        Path(args.newick).write_text(dend.to_newick() + "\n")
+        _write(args.newick, dend.to_newick() + "\n")
     return EXIT_OK
 
 
@@ -170,7 +185,7 @@ def cmd_wavelet(args) -> int:
         cols = [f"s{n - 1}"] + [f"d{r}" for r in range(n - 1, 0, -1)]
         attrs = table.col_labels or [f"c{j}" for j in range(ht.m)]
         vals = np.column_stack([ht.smooth, ht.details[::-1].T])
-        Path(args.csv).write_text("," + ",".join(cols) + "\n" + _csv_lines(vals, attrs) + "\n")
+        _write(args.csv, "," + ",".join(cols) + "\n" + _csv_lines(vals, attrs) + "\n")
     return EXIT_OK
 
 
@@ -293,7 +308,7 @@ def cmd_genum(args) -> int:
         lines.append(f"Clusters defined by all pairwise linkage at level <= {level}:")
         for c in clusters:
             lines.append("   " + ", ".join(sorted(obj[i] for i in c)))
-        Path(args.text).write_text("\n".join(lines) + "\n")
+        _write(args.text, "\n".join(lines) + "\n")
     return EXIT_OK
 
 

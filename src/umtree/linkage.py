@@ -367,16 +367,18 @@ def mst_cluster(m, labels=None) -> Dendrogram:
     dist[0] = np.inf
     outside = np.ones(n, dtype=bool)
     outside[0] = False
+    closer = np.empty(n, dtype=bool)  # the terminals each step brings nearer
     edges = []  # (length, joining terminal, tree terminal) in Prim order
     for _ in range(n - 1):
         v = int(dist.argmin())  # the first minimum: the smallest id
-        edges.append((float(dist[v]), v, int(near[v])))
+        edges.append((dist.item(v), v, near.item(v)))
         dist[v] = np.inf
         outside[v] = False
         row = d[v]
-        closer = (row < dist) & outside  # strict: an earlier parent keeps a tie
-        dist[closer] = row[closer]
-        near[closer] = v
+        np.less(row, dist, out=closer)  # strict: an earlier parent keeps a tie
+        closer &= outside
+        np.copyto(dist, row, where=closer)
+        np.copyto(near, v, where=closer)
     edges.sort(key=lambda edge: edge[0])  # stable: Prim order on ties
 
     root = list(range(n))  # union-find forest over terminals

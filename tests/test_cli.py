@@ -564,6 +564,74 @@ class TestComposition:
         ]) == 0
 
 
+class TestWritePath:
+    """Reports are written over an existing file in place, then cut."""
+
+    TREE, CSV = TestTreeGoldens.TREE, TestTreeGoldens.CSV
+
+    def write_all(self, out, monkeypatch):
+        """Run every file-writing subcommand into out; return each file's bytes."""
+        out.mkdir(exist_ok=True)
+        monkeypatch.chdir(out)  # relative output names land in out
+        tree, csv = str(self.TREE), str(self.CSV)
+        for argv in [
+            ["cluster", "--input", csv, "--criterion", "single",
+             "--out", "tree.json", "--newick", "tree.nwk"],
+            ["wavelet", "forward", "--dend", tree, "--data", csv,
+             "--out", "forward.json", "--csv", "forward.csv"],
+            ["wavelet", "inverse", "--dend", tree, "--data", csv, "--out", "inverse.csv"],
+            ["wavelet", "regress", "--dend", tree, "--data", csv, "--tau", "4.0",
+             "--out", "regress.csv"],
+            ["wavelet", "chain", "--dend", tree, "--data", csv, "--out", "chain.json"],
+            ["padic", "--dend", tree, "--p", "3", "--check-unique", "--out", "padic.json"],
+            ["genum", "--input", str(DATA / "genum_40x5.csv"), "--level", "2",
+             "--out", "lattice.json", "--text", "lattice.txt"],
+            ["canon", "--dend", tree, "--out", "canon.json"],
+        ]:
+            assert main(argv) == 0, argv
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def test_existing_files_get_the_fresh_bytes(self, tmp_path, monkeypatch):
+        fresh = self.write_all(tmp_path / "fresh", monkeypatch)
+        assert len(fresh) == 11
+        assert fresh["tree.json"] == self.TREE.read_bytes()
+        assert fresh["lattice.json"] == (DATA / "genum_40x5_level2.json").read_bytes()
+        for name, junk in [("longer", lambda n: b"#" * (n + 4096)), ("short", lambda n: b"#")]:
+            out = tmp_path / name
+            out.mkdir()
+            for file, data in fresh.items():
+                (out / file).write_bytes(junk(len(data)))
+            assert self.write_all(out, monkeypatch) == fresh, name
+
+    def test_written_in_place(self, tmp_path):
+        # a hard link to the report sees the new bytes: the file is not replaced
+        out, link = tmp_path / "canon.json", tmp_path / "link.json"
+        out.write_text("x" * 100000)
+        os.link(out, link)
+        assert main(["canon", "--dend", str(self.TREE), "--out", str(out)]) == 0
+        assert link.read_bytes() == out.read_bytes() == (DATA / "single_60x3.canon.json").read_bytes()
+
+    def test_dev_null(self):
+        assert main(["canon", "--dend", str(self.TREE), "--out", os.devnull]) == 0
+
+    def test_directory_is_data_error(self, tmp_path, capsys):
+        assert main(["canon", "--dend", str(self.TREE), "--out", str(tmp_path)]) == 2
+        assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
+    def test_missing_directory_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "no" / "canon.json"
+        assert main(["canon", "--dend", str(self.TREE), "--out", str(out)]) == 2
+        assert f"No such file or directory: '{out}'" in capsys.readouterr().err
+
+    def test_failed_write_leaves_what_was_written(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("longer text than the report")
+        with pytest.raises(RuntimeError), cli._opened(str(out)) as fh:
+            fh.write("ab")
+            raise RuntimeError("stop")
+        assert out.read_bytes() == b"ab"
+
+
 class TestSelftest:
     def test_all_checks_pass(self, capsys):
         assert main(["selftest"]) == 0
