@@ -243,25 +243,33 @@ class Dendrogram:
     def is_terminal(self, node: int) -> bool:
         return 0 <= node < self.n_terminals
 
+    def _merge_index(self, node: int) -> int:
+        """The index of an internal node's merge in merges; a terminal
+        raises ValueError and an id outside the tree IndexError."""
+        n = self.n_terminals
+        if n <= node < 2 * n - 1:
+            return node - n
+        if 0 <= node < n:
+            raise ValueError(f"node {node} is a terminal")
+        raise IndexError(f"node {node} out of range")
+
     def rank(self, node: int) -> int:
         """Agglomeration rank (1..n-1) of an internal node."""
-        if self.is_terminal(node):
-            raise ValueError(f"node {node} is a terminal")
-        return node - self.n_terminals + 1
+        return self._merge_index(node) + 1
 
     def children(self, node: int):
-        a, b, _ = self.merges[node - self.n_terminals]
+        a, b, _ = self.merges[self._merge_index(node)]
         return a, b
 
     def level(self, node: int) -> float:
         """Agglomeration level; 0 for terminals."""
         if self.is_terminal(node):
             return 0.0
-        return self.merges[node - self.n_terminals][2]
+        return self.merges[self._merge_index(node)][2]
 
     def branch_label(self, node: int, child: int) -> int:
         """+1 for the left (first-listed) child, -1 for the right."""
-        a, b, _ = self.merges[node - self.n_terminals]
+        a, b, _ = self.merges[self._merge_index(node)]
         if child == a:
             return +1
         if child == b:

@@ -47,7 +47,7 @@ class Table:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
-            raise ValueError("table must be 2-dimensional")
+            raise ValueError(f"table must be 2-dimensional, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("table values must be finite")
         object.__setattr__(self, "values", v)
@@ -182,6 +182,8 @@ def euclidean_matrix(data) -> DistanceMatrix:
     (a - b)^2 == (b - a)^2 and both entries are summed in the same order.
     """
     x = np.asarray(data.values if isinstance(data, Table) else data, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"table must be 2-dimensional, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("table values must be finite")
     n = x.shape[0]
@@ -246,7 +248,8 @@ class SetValuedDistanceTable:
     Three views are built on first use, at most once per table: cols,
     the transposed context; the closed attribute sets, which genlattice
     reads; and the pairs grouped by distance, only for the readers that
-    list pairs (dist, pairs and genlattice.pairs_for_node).
+    list pairs (dist, pairs and genlattice.pairs_for_node).  _closure
+    keeps each attribute mask's closure once it has computed it.
     """
 
     n_attributes: int
@@ -267,10 +270,22 @@ class SetValuedDistanceTable:
                 cols[a] |= 1 << i
         return tuple(cols)
 
+    @cached_property
+    def _closures(self) -> dict:
+        """{attribute mask b: _closure(b)}, filled as _closure meets each b."""
+        return {}
+
     def _closure(self, b: int) -> tuple:
         """(c(b), extent of b) for an attribute mask b: the extent is the
         objects holding all of b, and c(b) the attributes all of them
-        hold, or every attribute when fewer than two objects do."""
+        hold, or every attribute when fewer than two objects do.
+        Computed once per mask (_close) and then read from _closures."""
+        found = self._closures.get(b)
+        if found is None:
+            found = self._closures[b] = self._close(b)
+        return found
+
+    def _close(self, b: int) -> tuple:
         extent = (1 << self.n) - 1
         for a in from_mask(b):
             extent &= self.cols[a]

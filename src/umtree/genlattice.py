@@ -10,8 +10,9 @@ read off one closure operator on attribute sets B.  The extent of B,
 the objects holding all of B, is the AND of the column masks t.cols
 over B; c(B) is the intent of that extent (the attributes all of its
 objects hold) when it has two or more objects, and every attribute
-otherwise.  The table holds this operator and lists its closed sets
-once (SetValuedDistanceTable._closure and ._closed_sets).
+otherwise.  The table holds this operator, computes it once per set,
+and lists its closed sets once (SetValuedDistanceTable._closure and
+._closed_sets).
 
 - Vertices are the complements of the closed sets with two or more
   objects in their extent, as a union of distances ~(w_i & w_j) is ~ of

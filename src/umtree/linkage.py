@@ -12,8 +12,9 @@ the Lance-Williams updates in its own order.
   reciprocal nearest neighbors; valid only for reducible criteria
   (single, complete, average, ward).
 * naive_cluster -- repeatedly merge the globally closest pair, found
-  from cached nearest neighbours: O(n^2) typically, O(n^3) at worst;
-  any criterion, and the only one for median.
+  from cached nearest neighbours, or lower bounds on them that are
+  rescanned only when picked: O(n^2) typically, O(n^3) at worst; any
+  criterion, and the only one for median.
 
 The last two keep their L live clusters in slots 0..L-1 of one n x n
 matrix: a merge writes the new cluster into the lower slot of its two
@@ -266,15 +267,21 @@ def naive_cluster(m, crit, labels=None, *, overwrite_input=False) -> Dendrogram:
     cached nearest neighbour (Muellner's generic algorithm, without the
     heap): O(n^2) on typical data, O(n^3) at worst; any criterion.
 
-    dmin[s] and nn[s] are the smallest entry of live row s and its
-    column, the smallest id on ties, and they move with their slot.
-    Both members of every closest pair have dmin at the minimum, so the
-    smallest-id row r there and nn[r] are the lexicographically smallest
-    (min id, max id) closest pair.  After a merge only the new row and
-    the rows that pointed at either child are rescanned; any other row
-    k keeps its neighbour unless the new cluster is strictly closer (the
-    new id is the largest live id, so an older neighbour wins a tie),
-    which also covers a median row that drops below k's minimum.
+    dmin[s] is a lower bound on every entry of live row s; unless
+    stale[s], it is the row's minimum and nn[s] the id of the cluster
+    there, the smallest id on ties.  Both move with their slot, and nn
+    holds ids (slot[id] finds one), so moving a slot changes no nn.  The
+    smallest-id row r at the least bound is rescanned if stale, and the
+    pick made again; once r is exact, both members of every closest pair
+    have their bound at the minimum, so r and nn[r] are the
+    lexicographically smallest (min id, max id) closest pair.  After a
+    merge the new row is scanned once, and a row that pointed at either
+    child turns stale, keeping its old minimum as its bound.  A row k
+    whose bound the new cluster is strictly below takes it as its exact
+    neighbour, every other entry being at least the bound (this covers a
+    median row dropping below k's minimum); otherwise k keeps its bound,
+    and a fresh row its neighbour (the new id is the largest live id, so
+    an older neighbour wins a tie).
 
     overwrite_input=True makes the matrix's own array the working matrix
     (squared in place for ward and median) where the default works in a
@@ -287,31 +294,37 @@ def naive_cluster(m, crit, labels=None, *, overwrite_input=False) -> Dendrogram:
     d, ids = c.d, c.ids
     nn = d.argmin(axis=1)  # slots equal ids, so the first minimum is the smallest id
     dmin = d[np.arange(c.n), nn]
+    slot = np.arange(2 * c.n - 1)  # by id: the slot of a live cluster
     # numpy keeps freed blocks of up to 1 KB cached by size, so a new mask
-    # of each length L would stay allocated: reuse two
-    mask, stale = np.empty(c.n, bool), np.empty(c.n, bool)
+    # of each length L would stay allocated: reuse one
+    mask, stale = np.empty(c.n, bool), np.zeros(c.n, bool)
     with _updates_named(crit):
         while c.live > 1:
             live = c.live
             a = _smallest_id_at_min(dmin[:live], ids, mask)
-            b = nn.item(a)
-            # rows that pointed at a child, both children among them: nn[a] == b,
-            # and a is the smallest id at distance dmin[a] from b, so nn[b] == a
-            np.equal(nn[:live], a, out=stale[:live])
-            stale[:live] |= np.equal(nn[:live], b, out=mask[:live])
+            while stale.item(a):  # a bound at the minimum: rescan, then pick again
+                s = _smallest_id_at_min(d[a, :live], ids, mask)
+                dmin[a], nn[a], stale[a] = d.item(a, s), ids.item(s), False
+                a = _smallest_id_at_min(dmin[:live], ids, mask)
+            ia, ib = ids.item(a), nn.item(a)
+            b = slot.item(ib)
+            # rows that pointed at a child keep their minimum as a lower bound
+            stale[:live] |= np.equal(nn[:live], ia, out=mask[:live])
+            stale[:live] |= np.equal(nn[:live], ib, out=mask[:live])
             hi = c.merge(a, b)
             lo, last = min(a, b), c.live
             if hi != last:  # slot last moved into slot hi
                 dmin[hi], nn[hi], stale[hi] = dmin[last], nn[last], stale[last]
-                np.copyto(nn[:last], hi, where=np.equal(nn[:last], last, out=mask[:last]))
+                slot[ids.item(hi)] = hi
+            new = ids.item(lo)
+            slot[new] = lo
             col = d[lo, :last]  # column lo, read as the equal row
-            np.copyto(nn[:last], lo, where=np.less(col, dmin[:last], out=mask[:last]))
+            closer = np.less(col, dmin[:last], out=mask[:last])  # exact at the new cluster
+            np.copyto(nn[:last], new, where=closer)
+            np.copyto(stale[:last], False, where=closer)
             np.minimum(dmin[:last], col, out=dmin[:last])
-            rows = np.flatnonzero(stale[:last])
-            sub = d[rows, :last]
-            dmin[rows] = low = sub.min(axis=1)
-            # the smallest id among each row's minima; every id is below 2n
-            nn[rows] = np.where(sub == low[:, None], ids[:last], 2 * c.n).argmin(axis=1)
+            s = _smallest_id_at_min(col, ids, mask)
+            dmin[lo], nn[lo], stale[lo] = col.item(s), ids.item(s), False
     return _finish(c.n, c.raw, crit, labels)
 
 

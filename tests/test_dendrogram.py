@@ -38,6 +38,23 @@ class TestDendrogram:
         assert d.branch_label(3, 2) == -1
         assert d.check_strict_levels()
 
+    @pytest.mark.parametrize("node", [-1, -4, 7, 100])
+    def test_node_outside_the_tree_named(self, node):
+        # merges[node - n] would wrap a negative id round to another merge
+        d = Dendrogram(4, ((0, 1, 1.0), (2, 3, 2.0), (4, 5, 3.0)))
+        for accessor in (d.children, d.rank, d.level, lambda v: d.branch_label(v, 4)):
+            with pytest.raises(IndexError, match=f"^node {node} out of range$"):
+                accessor(node)
+
+    @pytest.mark.parametrize("node", [0, 1, 3])
+    def test_terminal_has_no_merge(self, node):
+        # terminal 1 once read as the merge (0, 1), terminal 3 as the root's
+        d = Dendrogram(4, ((0, 1, 1.0), (2, 3, 2.0), (4, 5, 3.0)))
+        for accessor in (d.children, d.rank, lambda v: d.branch_label(v, 4)):
+            with pytest.raises(ValueError, match=f"^node {node} is a terminal$"):
+                accessor(node)
+        assert d.level(node) == 0.0
+
     def test_invalid_trees(self):
         with pytest.raises(ValueError):
             Dendrogram(3, ((0, 1, 1.0),))  # missing a merge

@@ -225,6 +225,15 @@ class TestEuclidean:
     def test_one_row(self):
         assert euclidean_matrix(np.array([[1.0, -2.0]])).values.tolist() == [[0.0]]
 
+    @pytest.mark.parametrize("x", [np.float64(3.0), np.ones(3), np.ones((2, 2, 2))],
+                             ids=["0-D", "1-D", "3-D"])
+    def test_rejects_other_than_2_dimensions(self, x):
+        shape = re.escape(str(x.shape))
+        with pytest.raises(ValueError, match=f"^table must be 2-dimensional, got shape {shape}$"):
+            euclidean_matrix(x)
+        with pytest.raises(ValueError, match=f"^table must be 2-dimensional, got shape {shape}$"):
+            Table(x)
+
     def test_ufunc_buffer_size_restored(self):
         before = np.getbufsize()
         euclidean_matrix(np.ones((40, 2)))

@@ -1,6 +1,7 @@
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umtree import (
+    SetValuedDistanceTable,
     Table,
     build_lattice,
     clusters_at_level,
@@ -169,6 +171,37 @@ def test_consumers_build_no_dist(rng):
         pairs_for_node(t, v)
     assert "_pairs_by_distance" in vars(t)
     assert "dist" not in vars(t)
+
+
+def test_closure_computed_once_per_mask(rng):
+    # NextClosure, the cover test and pairs_for_node ask again for masks
+    # already closed: each table computes a mask once and hands back the
+    # same tuple, and a second table computes its own
+    x = Table((rng.random((150, 6)) < 0.65).astype(float))
+    tables = (setvalued_table(x), setvalued_table(x))
+    asked, computed = [], []
+    closure, close = SetValuedDistanceTable._closure, SetValuedDistanceTable._close
+
+    def ask(self, b):
+        asked.append(b)
+        return closure(self, b)
+
+    def compute(self, b):
+        computed.append((id(self), b))
+        return close(self, b)
+
+    with mock.patch.object(SetValuedDistanceTable, "_closure", ask), \
+            mock.patch.object(SetValuedDistanceTable, "_close", compute):
+        for t in tables:
+            for v in build_lattice(t).vertices:
+                pairs_for_node(t, v)
+            clusters_at_level(t, 3)
+    assert len(computed) == len(set(computed))
+    assert len(asked) > len(computed)
+    first, second = ({b for i, b in computed if i == id(t)} for t in tables)
+    assert first == second == set(asked)
+    for t in tables:
+        assert {b: close(t, b) for b in first} == t._closures
 
 
 def test_pipeline_memory_is_linear_in_rows():

@@ -51,6 +51,16 @@ class TestForward:
         for v in ht.details:
             np.testing.assert_allclose(v, 0.0)
 
+    def test_sign_of_a_terminal_rejected(self):
+        # terminal 3 once read as the root, which holds terminal 2 on its right
+        d = Dendrogram(4, ((0, 1, 1.0), (2, 3, 2.0), (4, 5, 3.0)))
+        ht = forward(d, np.arange(8.0).reshape(4, 2))
+        assert ht.sign(6, 2) == -1
+        with pytest.raises(ValueError, match="^node 3 is a terminal$"):
+            ht.sign(3, 2)
+        with pytest.raises(IndexError, match="^node -1 out of range$"):
+            ht.sign(-1, 2)
+
     def test_dimension_mismatch(self, rng):
         d = random_dendrogram(rng, 5)
         with pytest.raises(ValueError):

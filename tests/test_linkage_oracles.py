@@ -329,13 +329,72 @@ def test_median_row_below_cached_minimum():
     # Row 2's cached neighbour is row 4 (sqrt 257), so only the new row
     # being strictly closer can bring it back to the minimum, where it is
     # the smaller id of the tied pairs (2, 5) and (3, 5); row 3 pointed
-    # at a child and is rescanned.
+    # at a child, and the new row undercuts its bound.
     x = np.array([[0, 0], [16, 0], [8, 14], [8, -14], [24, 15]], float)
     m = euclidean_matrix(x)
     dend = checked_naive_cluster(m, "median")
     assert_same(dend, oracle_naive_cluster(m, "median"))
     assert dend.merges[1][:2] == (2, 5)
     assert dend.raw_levels[1] < dend.raw_levels[0] == 16.0  # an inversion, repaired
+
+
+# -- pinned paths of the lazy lower bounds -----------------------------------
+
+
+def rescans(m, crit):
+    """checked_naive_cluster(m, crit), and how many stale rows it
+    rescanned: each of the n - 1 merges makes one pick and scans its new
+    row, and a rescan adds a scan and a pick, all in _smallest_id_at_min."""
+    calls = []
+    find = linkage._smallest_id_at_min
+
+    def spy(*args):
+        calls.append(args)
+        return find(*args)
+
+    with mock.patch.object(linkage, "_smallest_id_at_min", spy):
+        dend = checked_naive_cluster(m, crit)
+    return dend, (len(calls) - 2 * (m.n - 1)) // 2
+
+
+@pytest.mark.parametrize("crit", ["complete", "average", "ward", "median"])
+def test_stale_bound_at_minimum_rescanned_larger(crit):
+    # 11 and 10 merge first.  Row 0 pointed at 10, so it keeps 10 as its
+    # bound, tied with the pair (30, 40), and as the smaller id it is
+    # picked.  Its rescan finds the new cluster farther than 10 (11, 10.5,
+    # sqrt 147 and 10.5), so (3, 4) merges next.  Taken as exact, row 0
+    # would merge with the slot its dead neighbour held, now 40's.
+    m = euclidean_matrix(np.array([[0.0], [11], [10], [30], [40]]))
+    dend, rescanned = rescans(m, crit)
+    assert_same(dend, oracle_naive_cluster(m, crit))
+    assert dend.merges[1] == (3, 4, 10.0)
+    assert rescanned == 2  # row 0 here, and {30, 40} once {10, 11} joins 0
+
+
+def test_stale_row_undercut_by_new_cluster():
+    # 0 and 1 merge at 16.  Row 2 pointed at 0, so it goes stale with the
+    # bound sqrt 260, but the new centroid is at 14 from it, strictly
+    # below, so row 2 is exact without a rescan.  It is the smaller id of
+    # the tied pairs (2, 5) and (3, 5) and merges next; left at its old
+    # bound, it would lose to (3, 5).
+    x = np.array([[0, 0], [16, 0], [8, -14], [8, 14], [24, 15]], float)
+    m = euclidean_matrix(x)
+    dend, rescanned = rescans(m, "median")
+    assert_same(dend, oracle_naive_cluster(m, "median"))
+    assert dend.merges[1][:2] == (2, 5)
+    assert rescanned == 2  # neither of them row 2
+
+
+def test_stale_bound_tied_with_fresh_rows():
+    # 0 and 1 merge first at 1.  Row 2 pointed at 1 and keeps the bound
+    # 1, tied with the fresh rows of 10, 11 and the new cluster 5, all of
+    # larger id.  Row 2 is picked and rescanned, finds 5 at 1, and (2, 5)
+    # merges before (3, 4).
+    m = euclidean_matrix(np.array([[0.0], [1], [2], [10], [11]]))
+    dend, rescanned = rescans(m, "single")
+    assert_same(dend, oracle_naive_cluster(m, "single"))
+    assert [merge[:2] for merge in dend.merges] == [(0, 1), (2, 5), (3, 4), (6, 7)]
+    assert rescanned == 2  # row 2 here, and one of the last two clusters
 
 
 @pytest.mark.parametrize("crit", list(MergeCriterion), ids=lambda c: c.value)
