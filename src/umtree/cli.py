@@ -27,6 +27,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SELFTEST = 3
 
+# runs of entries cost less than a write per entry or a norm per chain path
+_WRITE_CHARS = 1 << 16  # characters per write of a streamed report
+_CHAIN_STEPS = 1 << 12  # steps per run of wavelet chain errors
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -100,25 +104,32 @@ def _block(items, depth, brackets="[]") -> str:
     """
     if not items:
         return brackets
-    # one join, so no partial copy of the text lives beside items and the result
     sep = ",\n" + "  " * (depth + 1)
-    parts = [sep] * (2 * len(items) + 1)
-    parts[1::2] = items
-    parts[0] = brackets[0] + sep[1:]
-    parts[-1] = "\n" + "  " * depth + brackets[1]
-    return "".join(parts)
+    return brackets[0] + sep[1:] + sep.join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _batches(items, size, budget):
+    """Runs of consecutive items, each closed once its items' sizes reach budget."""
+    run, total = [], 0
+    for item in items:
+        run.append(item)
+        total += size(item)
+        if total >= budget:
+            yield run
+            run, total = [], 0
+    if run:
+        yield run
 
 
 def _write_block(fh, items, depth, brackets):
-    """Write _block(items, depth, brackets) to fh one item at a time, so
-    that items may be a generator and no item outlives its write."""
+    """Write _block(items, depth, brackets) to fh in runs of _WRITE_CHARS
+    characters or so: items may be a generator, and no run outlives its write."""
     sep = ",\n" + "  " * (depth + 1)
-    wrote = False
-    for item in items:
-        fh.write(sep if wrote else brackets[0] + sep[1:])
-        fh.write(item)
-        wrote = True
-    fh.write("\n" + "  " * depth + brackets[1] if wrote else brackets)
+    lead = brackets[0] + sep[1:]
+    for run in _batches(items, len, _WRITE_CHARS):
+        fh.write(lead + sep.join(run))
+        lead = sep
+    fh.write("\n" + "  " * depth + brackets[1] if lead == sep else brackets)
 
 
 def _csv_lines(rows, heads=None) -> str:
@@ -170,17 +181,18 @@ def cmd_wavelet(args) -> int:
         return EXIT_OK
 
     if args.action == "chain":
-        _write(args.out, _chain_json(ht, table.row_labels or [str(t) for t in range(n)]))
+        with _opened(args.out) as fh:
+            _write_block(fh, _chain_entries(ht, table.row_labels), 0, "{}")
         return EXIT_OK
 
     # forward: coefficient JSON plus optional table-style CSV; a detail
     # entry is its node id, its vector's m cells and its rank in a template
     entry = '"%d": ' + _block(['"vector": ' + _block(["%s"] * ht.m, 3), '"level": %d'], 2, "{}")
-    details = [entry % (n + k, *cells, k + 1) for k, cells in enumerate(_leaf_rows(ht.details))]
-    _write(args.out, _block([
-        '"smooth": ' + _block(_leaves(ht.smooth.tolist()), 1),
-        '"details": ' + _block(details, 1, "{}"),
-    ], 0, "{}"))
+    details = (entry % (n + k, *cells, k + 1) for k, cells in enumerate(_leaf_rows(ht.details)))
+    with _opened(args.out) as fh:
+        fh.write('{\n  "smooth": ' + _block(_leaves(ht.smooth.tolist()), 1) + ',\n  "details": ')
+        _write_block(fh, details, 1, "{}")
+        fh.write("\n}")
     if args.csv:
         cols = [f"s{n - 1}"] + [f"d{r}" for r in range(n - 1, 0, -1)]
         attrs = table.col_labels or [f"c{j}" for j in range(ht.m)]
@@ -189,12 +201,12 @@ def cmd_wavelet(args) -> int:
     return EXIT_OK
 
 
-def _chain_json(ht, names) -> str:
-    """approximation_chain of every terminal as indent-2 JSON, keyed by name.
+def _chain_entries(ht, names):
+    """Each terminal's approximation_chain as indent-2 JSON keyed by name.
 
     A terminal's partial sums are the rows of the nodes on its root path,
     root first, so each node's row is encoded once and shared; the errors
-    of all steps come from one batched norm and one encoder call.
+    of a run of paths come from one batched norm and one encoder call.
     """
     dend = ht.dend
     rows = haar._node_rows(ht)
@@ -203,23 +215,15 @@ def _chain_json(ht, names) -> str:
     # is joined per step
     partial = '{\n      "partial": ' + _block(["%s"] * ht.m, 3) + ',\n      "error": '
     head = [partial % tuple(cells) for cells in _leaf_rows(rows)]
-    down = {dend.root: [dend.root]}  # node -> the nodes from the root down to it
-    for node in range(dend.root, dend.n_terminals - 1, -1):
-        above = down.pop(node)
-        for child in dend.children(node):
-            down[child] = above + [child]
-    paths = [down[t] for t in range(dend.n_terminals)]
-    steps = np.concatenate(paths)
-    targets = np.repeat(np.arange(len(paths)), [len(path) for path in paths])
-    errors = iter(_leaves(haar._row_norms(rows[steps] - rows[targets]).tolist()))
-    # each terminal's steps, as _block(steps, 1) lays them out
-    sep = "\n    },\n    "
-    terminals = [
-        f"{_key(name)}: [\n    {sep.join([head[node] + next(errors) for node in path])}\n    }}\n  ]"
-        for name, path in zip(names, paths)
-    ]
-    del head, down, paths, steps, targets, errors  # freed before the report is joined
-    return _block(terminals, 0, "{}")
+    paths = (dend.path_to_root(t)[::-1] + [t] for t in range(dend.n_terminals))
+    sep = "\n    },\n    "  # between the steps, as _block(steps, 1) lays them out
+    for run in _batches(paths, len, _CHAIN_STEPS):
+        steps = np.concatenate(run)
+        targets = np.repeat([path[-1] for path in run], [len(path) for path in run])
+        errors = iter(_leaves(haar._row_norms(rows[steps] - rows[targets]).tolist()))
+        for path in run:
+            name = _key(names[path[-1]] if names else str(path[-1]))
+            yield f"{name}: [\n    {sep.join([head[node] + next(errors) for node in path])}\n    }}\n  ]"
 
 
 def cmd_padic(args) -> int:
@@ -229,7 +233,7 @@ def cmd_padic(args) -> int:
     # A terminal's coefficients by ascending rank are the (rank, label)
     # items of its root path read upwards, so a child's text is its own
     # item, each item led by its separator, in front of its parent's text.
-    # An internal node's text is dropped once both children have theirs.
+    # A node's text is dropped once its children have theirs or it is written.
     tail = {dend.root: ""}
     for rank in range(n - 1, 0, -1):
         a, b, _ = dend.merges[rank - 1]
@@ -237,16 +241,19 @@ def cmd_padic(args) -> int:
         item = f",\n        [\n          {rank},\n          "
         tail[a] = f"{item}1\n        ]{above}"
         tail[b] = f"{item}-1\n        ]{above}"
-    terminals = []
-    for t, value in enumerate(decimals):
-        coeffs = tail.pop(t)
-        coeffs = f"[{coeffs[1:]}\n      ]" if coeffs else "[]"
-        name = _key(dend.labels[t] if dend.labels else str(t))
-        terminals.append(f'{name}: {{\n      "coefficients": {coeffs},\n      "decimal": {value}\n    }}')
-    report = [f'"p": {json.dumps(args.p)}', '"terminals": ' + _block(terminals, 1, "{}")]
-    if args.check_unique:
-        report.append(f'"unique": {json.dumps(len(set(decimals)) == len(decimals))}')
-    _write(args.out, _block(report, 0, "{}"))
+
+    def terminals():
+        for t, value in enumerate(decimals):
+            coeffs = tail.pop(t)
+            coeffs = f"[{coeffs[1:]}\n      ]" if coeffs else "[]"
+            name = _key(dend.labels[t] if dend.labels else str(t))
+            yield f'{name}: {{\n      "coefficients": {coeffs},\n      "decimal": {value}\n    }}'
+
+    with _opened(args.out) as fh:
+        fh.write(f'{{\n  "p": {json.dumps(args.p)},\n  "terminals": ')
+        _write_block(fh, terminals(), 1, "{}")
+        fh.write(f',\n  "unique": {json.dumps(len(set(decimals)) == len(decimals))}\n}}'
+                 if args.check_unique else "\n}")
     return EXIT_OK
 
 

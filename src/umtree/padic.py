@@ -33,14 +33,34 @@ __all__ = [
 ]
 
 
+# Miller-Rabin to the prime bases 2..41 has no strong pseudoprime below
+# this bound (Sorenson and Webster 2015), so below it the test is exact
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Whether p is prime, by a deterministic Miller-Rabin test in
+    O(log p) multiplications; p at or above _PRIME_BOUND is a ValueError."""
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"base {p} is too large: the primality test is exact below {_PRIME_BOUND}")
     if p < 2:
         return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
+    if any(p % a == 0 for a in _PRIME_BASES):
+        return p in _PRIME_BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:  # a witnesses that p is composite
             return False
-        f += 1
     return True
 
 

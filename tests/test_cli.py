@@ -356,11 +356,18 @@ class TestGenum:
         assert not out.exists()
 
     def test_stdout_is_the_file_and_a_newline(self, tmp_path, capsys):
-        argv = ["genum", "--input", str(DATA / "genum_40x5.csv"), "--level", "2"]
-        assert main(argv + ["--out", str(tmp_path / "g.json")]) == 0
-        capsys.readouterr()
-        assert main(argv) == 0
-        assert capsys.readouterr().out == (tmp_path / "g.json").read_text() + "\n"
+        # and so for every report streamed in runs of entries
+        tree, csv = ["--dend", str(TestTreeGoldens.TREE)], str(TestTreeGoldens.CSV)
+        for argv in [
+            ["genum", "--input", str(DATA / "genum_40x5.csv"), "--level", "2"],
+            ["padic", "--p", "3", "--check-unique"] + tree,
+            ["wavelet", "forward", "--data", csv] + tree,
+            ["wavelet", "chain", "--data", csv] + tree,
+        ]:
+            assert main(argv + ["--out", str(tmp_path / "g.json")]) == 0
+            capsys.readouterr()
+            assert main(argv) == 0
+            assert capsys.readouterr().out == (tmp_path / "g.json").read_text() + "\n", argv
 
     def test_non_boolean_rejected(self, tmp_path, iris_csv, capsys):
         assert main(["genum", "--input", str(iris_csv), "--out", "x"]) == 2
@@ -622,6 +629,27 @@ class TestWritePath:
         out = tmp_path / "no" / "canon.json"
         assert main(["canon", "--dend", str(self.TREE), "--out", str(out)]) == 2
         assert f"No such file or directory: '{out}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["padic", "--p", "4"], "base 4 is not prime"),
+        (["padic", "--p", "1000000016000000063"], "base 1000000016000000063 is not prime"),
+        (["padic", "--p", str(2**89 - 1)], "is too large: the primality test is exact below"),
+        (["wavelet", "chain", "--data", "swapped.csv"], "data row 1 is 'r1', but tree terminal 0 is 'r0'"),
+        (["wavelet", "forward", "--data", "swapped.csv"], "data row 1 is 'r1', but tree terminal 0 is 'r0'"),
+        (["wavelet", "chain", "--data", "short.csv"], "59 rows for 60 terminals"),
+    ])
+    def test_rejected_run_leaves_the_file(self, tmp_path, monkeypatch, capsys, argv, message):
+        """A report streamed in runs is written only after every check on
+        its input has passed, so a rejected run leaves --out as it was."""
+        monkeypatch.chdir(tmp_path)
+        head, r0, r1, *rows = self.CSV.read_text().splitlines(keepends=True)
+        Path("swapped.csv").write_text("".join([head, r1, r0, *rows]))
+        Path("short.csv").write_text("".join([head, r0, *rows]))
+        out = tmp_path / "out.json"
+        out.write_text("#" * 100000)
+        assert main(argv + ["--dend", str(self.TREE), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert out.read_text() == "#" * 100000
 
     def test_failed_write_leaves_what_was_written(self, tmp_path):
         out = tmp_path / "report.json"

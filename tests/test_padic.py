@@ -1,5 +1,6 @@
 import decimal
 import sys
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ from umtree import (
     nn_chain_cluster,
 )
 from umtree.datasets import ranked_demo_tree
-from umtree.padic import decimal_texts
+from umtree.padic import _is_prime, decimal_texts
 
 from conftest import caterpillar, random_dendrogram, random_points
 
@@ -136,6 +137,47 @@ class TestDecimalTexts:
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError, match="base 4 is not prime"):
             decimal_texts(two_leaf(), 4)
+
+
+def trial_division(p):
+    """The primality test the Miller-Rabin test replaced, kept as its oracle."""
+    if p < 2:
+        return False
+    f = 2
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 1
+    return True
+
+
+class TestPrimality:
+    BOUND = 3_317_044_064_679_887_385_961_981
+
+    def test_agrees_with_trial_division(self):
+        assert [p for p in range(-3, 10**5) if _is_prime(p) != trial_division(p)] == []
+
+    @pytest.mark.parametrize("p", [561, 41041, 3215031751, 1000000016000000063])
+    def test_pseudoprimes_rejected(self, p):
+        # Carmichael numbers, the least strong pseudoprime to the bases
+        # 2, 3, 5 and 7, and (10**9 + 7)(10**9 + 9)
+        assert not _is_prime(p)
+        with pytest.raises(ValueError, match=f"base {p} is not prime"):
+            decimal_texts(two_leaf(), p)
+
+    @pytest.mark.parametrize("p", [10**18 + 3, 2**61 - 1, 3317044064679887385961813])
+    def test_large_primes_in_milliseconds(self, p):
+        # the last is the largest prime below the bound
+        start = time.perf_counter()
+        assert _is_prime(p)
+        assert encode(two_leaf(), p, 1).as_dict() == {1: -1}
+        assert decimal_texts(two_leaf(), p) == [str(p), str(-p)]
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("p", [BOUND, 2**89 - 1])
+    def test_past_the_bound_rejected(self, p):
+        with pytest.raises(ValueError, match=f"base {p} is too large: .* exact below {self.BOUND}"):
+            decimal_texts(two_leaf(), p)
 
 
 class TestUniqueness:

@@ -8,6 +8,11 @@ old per-value loop.  Labels carry quotes, backslashes, control and non-ASCII
 characters; rows of +-1e308 overflow the smooths to Infinity and the
 chain errors to NaN.  padic reads tree labels drawn apart from the CSV's
 row labels; wavelet reads a tree labelled with those row labels.
+
+The streamed reports are written in runs of entries, and the chain's
+errors computed in runs of paths, each closed by a size budget; every
+oracle test runs at the default budgets and at budgets of 1, where each
+entry is its own write and each path its own run.
 """
 
 import csv
@@ -17,6 +22,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,10 +31,11 @@ from hypothesis import strategies as st
 from test_tree_oracles import dendrograms
 
 from umtree import Dendrogram, euclidean_matrix, genlattice, haar, nn_chain_cluster, padic
-from umtree.cli import _chain_json, main
+from umtree import cli
+from umtree.cli import main
 from umtree.dissim import load_csv, setvalued_table
 
-from conftest import caterpillar
+from conftest import caterpillar, random_dendrogram
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowed rows
 
@@ -193,6 +200,13 @@ def write_case(tmp, case):
     (tmp / "data.csv").write_text(buf.getvalue(), encoding="utf-8")
 
 
+# the default budgets, and budgets of 1: one entry per write, one path per run
+BUDGETS = [
+    {"_WRITE_CHARS": cli._WRITE_CHARS, "_CHAIN_STEPS": cli._CHAIN_STEPS},
+    {"_WRITE_CHARS": 1, "_CHAIN_STEPS": 1},
+]
+
+
 def run(tmp, argv, out="out"):
     assert main(argv + ["--dend", str(tmp / "tree.json"), "--out", str(tmp / out)]) == 0
     return (tmp / out).read_text(encoding="utf-8")
@@ -216,24 +230,32 @@ def test_writers_equal_json_dumps(case):
     dend, row_labels, x = case
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
-        write_case(tmp, case)
-        for p in (2, 3):
-            for flag in ([], ["--check-unique"]):
-                got = run(tmp, ["padic", "--p", str(p)] + flag)
-                assert got == oracle_padic(dend, p, bool(flag))
+        for budgets in BUDGETS:
+            with mock.patch.multiple(cli, **budgets):
+                write_case(tmp, case)
+                for p in (2, 3):
+                    for flag in ([], ["--check-unique"]):
+                        got = run(tmp, ["padic", "--p", str(p)] + flag)
+                        assert got == oracle_padic(dend, p, bool(flag))
 
-        # wavelet rejects a tree whose labels differ from the CSV's row labels
-        labelled = Dendrogram(dend.n_terminals, dend.merges, labels=row_labels)
-        write_case(tmp, (labelled, row_labels, x))
-        data = ["--data", str(tmp / "data.csv")]
-        table = load_csv(tmp / "data.csv")
-        ht = haar.forward(Dendrogram.from_json((tmp / "tree.json").read_text()), table)
-        want_json, want_csv = oracle_forward(ht, table)
-        assert run(tmp, ["wavelet", "forward", "--csv", str(tmp / "table.csv")] + data) == want_json
-        assert (tmp / "table.csv").read_text(encoding="utf-8") == want_csv
-        assert run(tmp, ["wavelet", "chain"] + data) == oracle_chain(ht, table)
-        rows = np.array([haar.reconstruct_one(ht, t) for t in range(dend.n_terminals)])
-        assert run(tmp, ["wavelet", "inverse"] + data) == oracle_rows_csv(rows, table)
+                # wavelet rejects a tree whose labels differ from the CSV's row labels
+                labelled = Dendrogram(dend.n_terminals, dend.merges, labels=row_labels)
+                write_case(tmp, (labelled, row_labels, x))
+                check_wavelet(tmp, Dendrogram.from_json((tmp / "tree.json").read_text()))
+
+
+def check_wavelet(tmp, dend):
+    """wavelet forward (with its --csv table), chain and inverse on
+    tmp/tree.json and tmp/data.csv against the oracles."""
+    data = ["--data", str(tmp / "data.csv")]
+    table = load_csv(tmp / "data.csv")
+    ht = haar.forward(dend, table)
+    want_json, want_csv = oracle_forward(ht, table)
+    assert run(tmp, ["wavelet", "forward", "--csv", str(tmp / "table.csv")] + data) == want_json
+    assert (tmp / "table.csv").read_text(encoding="utf-8") == want_csv
+    assert run(tmp, ["wavelet", "chain"] + data) == oracle_chain(ht, table)
+    rows = np.array([haar.reconstruct_one(ht, t) for t in range(dend.n_terminals)])
+    assert run(tmp, ["wavelet", "inverse"] + data) == oracle_rows_csv(rows, table)
 
 
 # -- deep and large trees ------------------------------------------------------
@@ -245,16 +267,28 @@ def test_writers_on_caterpillar(tmp_path, alternate):
     dend = caterpillar(n, alternate)
     x = np.random.default_rng(300 + alternate).normal(size=(n, 3))
     write_case(tmp_path, (dend, None, x))
-    for p in (2, 3):
-        got = run(tmp_path, ["padic", "--p", str(p), "--check-unique"])
-        assert got == oracle_padic(dend, p, True)
-    data = ["--data", str(tmp_path / "data.csv")]
-    table = load_csv(tmp_path / "data.csv")
-    ht = haar.forward(dend, table)
-    want_json, want_csv = oracle_forward(ht, table)
-    assert run(tmp_path, ["wavelet", "forward", "--csv", str(tmp_path / "table.csv")] + data) == want_json
-    assert (tmp_path / "table.csv").read_text() == want_csv
-    assert run(tmp_path, ["wavelet", "chain"] + data) == oracle_chain(ht, table)
+    for budgets in BUDGETS:
+        with mock.patch.multiple(cli, **budgets):
+            for p in (2, 3):
+                got = run(tmp_path, ["padic", "--p", str(p), "--check-unique"])
+                assert got == oracle_padic(dend, p, True)
+            check_wavelet(tmp_path, dend)
+
+
+def test_reports_span_several_writes(tmp_path):
+    """On a pinned 1500-terminal tree each streamed report is several
+    default-sized writes long, and the chain several runs of errors."""
+    n = 1500
+    dend = random_dendrogram(np.random.default_rng(1500), n)
+    assert sum(map(len, map(dend.path_to_root, range(n)))) + n > 2 * cli._CHAIN_STEPS
+    x = np.random.default_rng(n).normal(size=(n, 2))
+    write_case(tmp_path, (dend, None, x))
+    report = run(tmp_path, ["padic", "--p", "3", "--check-unique"])
+    assert len(report) > 2 * cli._WRITE_CHARS
+    assert report == oracle_padic(dend, 3, True)
+    for action in ["forward", "chain"]:
+        assert len(run(tmp_path, ["wavelet", action, "--data", str(tmp_path / "data.csv")])) > 2 * cli._WRITE_CHARS
+    check_wavelet(tmp_path, dend)
 
 
 def test_forward_table_with_percent_labels(tmp_path):
@@ -414,20 +448,35 @@ def test_genum_streamed_peak_memory(tmp_path):
     assert genum_peak(tmp_path) <= 10_000_000
 
 
-def test_chain_json_peak_memory():
-    """tracemalloc peak of _chain_json on a chained tree (an alternating
-    caterpillar of depth 199; a 3.26 MB report): the terminals' entries
-    and the result, 2.01 times the report.  Joining the report and then
-    wrapping it in brackets peaked at 3.01 times."""
-    n = 200
-    dend = caterpillar(n, True)
-    ht = haar.forward(dend, np.random.default_rng(n).normal(size=(n, 3)))
-    names = [str(t) for t in range(n)]
-    _chain_json(ht, names)  # encoder set-up outside the measurement
+def streamed_peak(tmp_path, argv):
+    """tracemalloc peak of one CLI run on the alternating caterpillar of
+    400 terminals (depth 399) with 3 columns, and the length of its
+    report."""
+    n = 400
+    write_case(tmp_path, (caterpillar(n, True), None, np.random.default_rng(n).normal(size=(n, 3))))
+    argv = argv + ["--dend", str(tmp_path / "tree.json"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0  # argparse and encoder set-up outside the measurement
     tracemalloc.start()
     try:
-        text = _chain_json(ht, names)
+        assert main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * len(text)
+    return peak, len((tmp_path / "out").read_text())
+
+
+def test_padic_streamed_peak_memory(tmp_path):
+    """padic holds the coefficient text of every terminal once, made in
+    its top-down pass, and writes each as it pops it: about 1.07 times
+    its 4.0 MB report (Python 3.11), where joining the report peaked at
+    4.05 times."""
+    peak, size = streamed_peak(tmp_path, ["padic", "--p", "3", "--check-unique"])
+    assert peak <= 1.25 * size
+
+
+def test_chain_streamed_peak_memory(tmp_path):
+    """wavelet chain holds the node rows' text and one run of paths:
+    about 0.13 times its 12.9 MB report (Python 3.11), where joining the
+    report peaked at 2.01 times."""
+    peak, size = streamed_peak(tmp_path, ["wavelet", "chain", "--data", str(tmp_path / "data.csv")])
+    assert peak <= 0.25 * size
