@@ -16,6 +16,9 @@ from itertools import repeat
 import json
 import math
 from numbers import Integral, Real
+import os
+import re
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +42,54 @@ def _row_blocks(n):
     return [slice(r, r + step) for r in range(0, n, step)]
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask, or
+    every CPU where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _each_block(fn, n) -> list:
+    """[fn(rows) for rows in _row_blocks(n)], the blocks dealt round-robin
+    over _cpus() threads, the calling thread taking the first share.
+
+    numpy releases the GIL inside its ufunc loops, so the blocks run at
+    once.  fn must write no rows but its own, and set any numpy state it
+    needs (errstate, bufsize) itself: a new thread starts with numpy's
+    defaults.  One block or one CPU runs in the calling thread.  Every
+    thread is joined before the first error (by block) is raised, the
+    error the serial loop would raise.
+    """
+    blocks = _row_blocks(n)
+    k = min(len(blocks), _cpus()) if len(blocks) > 1 else 1
+    if k == 1:
+        return [fn(rows) for rows in blocks]
+    out = [None] * len(blocks)
+    errors = {}
+
+    def share(first):
+        for b in range(first, len(blocks), k):
+            try:
+                out[b] = fn(blocks[b])
+            except BaseException as exc:  # raised again in the calling thread
+                errors[b] = exc
+                return
+
+    threads = [threading.Thread(target=share, args=(first,)) for first in range(1, k)]
+    for t in threads:
+        t.start()
+    try:
+        share(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
 @contextmanager
 def _overflow_named(message):
     """Raise a float64 overflow inside the block as ValueError(message)."""
@@ -57,6 +108,18 @@ def _finite(x) -> bool:
         return False
 
 
+_NEWICK_QUOTED = re.compile(r"[\s()\[\]':;,]")
+
+
+def _newick_name(label) -> str:
+    """A label as Newick text: quoted, with ' doubled, when it holds
+    whitespace or any of ()[]':;, and as it is otherwise."""
+    text = f"{label}"
+    if _NEWICK_QUOTED.search(text):
+        return "'" + text.replace("'", "''") + "'"
+    return text
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """Symmetric nonnegative matrix with zero diagonal.  Input symmetric
@@ -69,23 +132,27 @@ class DistanceMatrix:
         v = np.asarray(self.values, dtype=float)
         square = v.ndim == 2 and v.shape[0] == v.shape[1]
         finite = square or bool(np.isfinite(v).all())  # square: checked below
-        symmetric = nonneg = exact = True
-        # one pass over blocks of rows, without n x n temporaries; symmetry
-        # is np.allclose(v, v.T): |v_ij - v_ji| <= 1e-8 + 1e-5 |v_ji|
-        for rows in _row_blocks(v.shape[0] if square else 0):
+
+        def check(rows):
+            """(finite, nonneg, exact, symmetric) of a block of rows, where
+            symmetry is np.allclose(v, v.T): |v_ij - v_ji| <= 1e-8 + 1e-5 |v_ji|"""
             x, y = v[rows], v[:, rows].T
             low, high = x.min(), x.max()
-            finite = finite and bool(np.isfinite(low) and np.isfinite(high))
-            nonneg = nonneg and low >= 0
             with np.errstate(invalid="ignore"):  # inf - inf, as in np.allclose
                 diff = x - y
-            if diff.any():  # rows equal to their columns need no tolerance
-                exact = False
-                np.abs(diff, out=diff)
-                tol = np.abs(y)
-                tol *= 1e-5
-                tol += 1e-8
-                symmetric = symmetric and bool((diff <= tol).all())
+            finite_nonneg = bool(np.isfinite(low) and np.isfinite(high)), bool(low >= 0)
+            if not diff.any():  # rows equal to their columns need no tolerance
+                return *finite_nonneg, True, True
+            np.abs(diff, out=diff)
+            tol = np.abs(y)
+            tol *= 1e-5
+            tol += 1e-8
+            return *finite_nonneg, False, bool((diff <= tol).all())
+
+        # one pass over blocks of rows, without n x n temporaries
+        checks = _each_block(check, v.shape[0] if square else 0)
+        finite = finite and all(c[0] for c in checks)
+        nonneg, exact, symmetric = (all(c[k] for c in checks) for k in (1, 2, 3))
         if not finite:
             raise ValueError("distances must be finite")
         if not square:
@@ -364,8 +431,8 @@ class Dendrogram:
 
     def to_newick(self) -> str:
         """Newick text with branch lengths = level differences, built
-        bottom-up in one pass over the merges."""
-        text = [f"{x}" for x in (self.labels or range(self.n_terminals))]
+        bottom-up in one pass over the merges (labels as _newick_name)."""
+        text = list(map(_newick_name, self.labels or range(self.n_terminals)))
         level = [0.0] * self.n_terminals
         for a, b, lev in self.merges:
             text.append(f"({text[a]}:{lev - level[a]:g},{text[b]}:{lev - level[b]:g})")
@@ -402,8 +469,11 @@ def cophenetic_matrix(dend: Dendrogram) -> DistanceMatrix:
         d[order[lo[a]:hi[a]], lo[b]:hi[b]] = lev
         d[order[lo[b]:hi[b]], lo[a]:hi[a]] = lev
     pos = lay.lo[:n]
-    for rows in _row_blocks(n):
+
+    def permute(rows):
         d[rows] = d[rows, pos]
+
+    _each_block(permute, n)
     return DistanceMatrix._trusted(d)
 
 
@@ -417,17 +487,27 @@ def _checked_tol(tol) -> float:
     return tol
 
 
-def _violations(d, tol: float, ultra: bool):
-    """Triples i < j < k, in lexicographic order, whose slack exceeds tol.
+def _checked_limit(limit):
+    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, Integral) or limit < 0):
+        raise ValueError(f"limit {limit!r} is not a nonnegative integer")
+    return limit
+
+
+def _violations(d, tol: float, ultra: bool, limit=None):
+    """Triples i < j < k, in lexicographic order, whose slack exceeds tol;
+    the first limit of them when limit is not None.
 
     d is a validated distance matrix (see _as_matrix).  One numpy pass
-    per pivot i over all pairs j < k above it.  The sides' min, median
-    and max are picked with np.minimum/np.maximum, so the slack is the
-    same float as from sorting the three sides.
+    per pivot i over all pairs j < k above it, and none once limit
+    triples are found.  The sides' min, median and max are picked with
+    np.minimum/np.maximum, so the slack is the same float as from
+    sorting the three sides.
     """
     n = d.shape[0]
     out = []
     for i in range(n - 2):
+        if limit is not None and len(out) >= limit:
+            break
         x = d[i, i + 1:]  # d(i, j) down the rows, d(i, k) along the columns
         z = d[i + 1:, i + 1:]  # d(j, k)
         low = np.minimum.outer(x, x)
@@ -440,16 +520,19 @@ def _violations(d, tol: float, ultra: bool):
             slack = top - (np.minimum(low, z) + mid)
         j, k = np.nonzero(np.triu(slack > tol, 1))  # row-major: lexicographic
         out.extend(zip(repeat(i), (j + i + 1).tolist(), (k + i + 1).tolist(), slack[j, k].tolist()))
+    if limit is not None:
+        del out[limit:]
     return out
 
 
-def verify_ultrametric(m, tol: float = 0.0):
+def verify_ultrametric(m, tol: float = 0.0, *, limit=None):
     """Triples violating the strong triangle inequality, with slack.
 
-    Returns (i, j, k, slack) for i < j < k in lexicographic order.  Empty
-    iff d(x,z) <= max(d(x,y), d(y,z)) + tol for all triples,
-    equivalently: the two largest sides of every triangle agree to tol.
-    A NaN tol raises ValueError.
+    Returns (i, j, k, slack) for i < j < k in lexicographic order, only
+    the first limit of them when limit is an integer.  Empty iff d(x,z)
+    <= max(d(x,y), d(y,z)) + tol for all triples, equivalently: the two
+    largest sides of every triangle agree to tol.  A NaN tol, or a limit
+    that is negative or not an integer, raises ValueError.
 
     Valid input is certified in O(n^2) by the subdominant ultrametric s,
     the largest ultrametric below d: the cophenetic matrix of
@@ -460,22 +543,24 @@ def verify_ultrametric(m, tol: float = 0.0):
     the middle side, and rounding is monotone, so no slack can exceed
     the largest d - s.
     """
-    tol = _checked_tol(tol)
+    tol, limit = _checked_tol(tol), _checked_limit(limit)
     d = _as_matrix(m)
     n = d.shape[0]
     if tol >= 0 and n > 2:  # d - s is 0 on the diagonal: tol < 0 never passes
         from .linkage import mst_cluster  # not at the top: linkage imports this module
 
         s = cophenetic_matrix(mst_cluster(DistanceMatrix._trusted(d))).values
-        if all((d[rows] - s[rows]).max() <= tol for rows in _row_blocks(n)):
+        if all(_each_block(lambda rows: (d[rows] - s[rows]).max() <= tol, n)):
             return []
-    return _violations(d, tol, ultra=True)
+    return _violations(d, tol, ultra=True, limit=limit)
 
 
-def verify_metric(m, tol: float = 0.0):
+def verify_metric(m, tol: float = 0.0, *, limit=None):
     """Triples violating the plain triangle inequality, with slack.
 
-    Returns (i, j, k, slack) for i < j < k in lexicographic order.  A
-    NaN tol raises ValueError.
+    Returns (i, j, k, slack) for i < j < k in lexicographic order, only
+    the first limit of them when limit is an integer.  A NaN tol, or a
+    limit that is negative or not an integer, raises ValueError.
     """
-    return _violations(_as_matrix(m), _checked_tol(tol), ultra=False)
+    tol, limit = _checked_tol(tol), _checked_limit(limit)
+    return _violations(_as_matrix(m), tol, ultra=False, limit=limit)

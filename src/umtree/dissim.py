@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dendrogram import DistanceMatrix, _overflow_named, _row_blocks
+from .dendrogram import DistanceMatrix, _each_block, _overflow_named
 
 __all__ = [
     "Table",
@@ -189,26 +189,28 @@ def euclidean_matrix(data) -> DistanceMatrix:
     n = x.shape[0]
     cols = np.ascontiguousarray(x.T)
     d = np.zeros((n, n))
-    blocks = _row_blocks(n)
-    tmp = np.empty_like(d[blocks[0]]) if blocks else None
     # a ufunc buffer longer than a row makes numpy copy both broadcast
     # operands of the subtraction through it; with one no longer than a
     # row (a multiple of 16 elements, as numpy 1.x asks) it reads them in
     # place, about twice as fast at n = 1000
-    old = np.setbufsize(max(16, n - n % 16))
-    try:
-        with _overflow_named("a squared Euclidean distance overflows float64 (a column "
-                             "difference above about 1.34e154 is enough)"):
-            for rows in blocks:
-                out = d[rows]
-                t = tmp[: len(out)]
+    bufsize = max(16, n - n % 16)
+
+    def fill(rows):  # each block sets its own numpy state: it may run in a new thread
+        out = d[rows]
+        t = np.empty_like(out)
+        old = np.setbufsize(bufsize)
+        try:
+            with _overflow_named("a squared Euclidean distance overflows float64 (a column "
+                                 "difference above about 1.34e154 is enough)"):
                 for c in cols:
                     np.subtract(c[rows, None], c, out=t)
                     np.multiply(t, t, out=t)
                     out += t
                 np.sqrt(out, out=out)
-    finally:
-        np.setbufsize(old)
+        finally:
+            np.setbufsize(old)
+
+    _each_block(fill, n)
     return DistanceMatrix._trusted(d)
 
 

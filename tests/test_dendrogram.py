@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import tracemalloc
@@ -16,6 +17,7 @@ from umtree import (
     verify_metric,
     verify_ultrametric,
 )
+from umtree import dendrogram
 from umtree.datasets import ranked_demo_tree
 
 from conftest import random_dendrogram
@@ -152,6 +154,24 @@ class TestDendrogram:
         text = Dendrogram(n, merges).to_newick()
         assert text.startswith("(" * (n - 1) + "0:1,1:1):1,2:2):1,")
         assert text.endswith(f",{n - 1}:{n - 1:g});")
+
+    def test_newick_labels_with_punctuation_quoted(self):
+        d = Dendrogram(3, ((0, 1, 1.0), (2, 3, 2.0)), labels=("a,b", "c d", "e:(f)"))
+        assert d.to_newick() == "('e:(f)':2,('a,b':1,'c d':1):1);"
+        d = Dendrogram(2, ((0, 1, 1.0),), labels=("x;y", "it's"))
+        assert d.to_newick() == "('x;y':1,'it''s':1);"
+
+    @pytest.mark.parametrize("ch", list(" \t\n\r()[]':;,") + ["\u00a0"])
+    def test_newick_quotes_each_character(self, ch):
+        label = f"x{ch}y"
+        text = Dendrogram(2, ((0, 1, 1.0),), labels=(label, "z")).to_newick()
+        assert text == "('" + label.replace("'", "''") + "':1,z:1);"
+
+    def test_newick_plain_labels_unquoted(self):
+        labels = ("x_1", "a-b", "é", 'say"hi"', 2.5)
+        merges = ((0, 1, 1.0), (2, 5, 2.0), (3, 4, 1.0), (6, 7, 3.0))
+        assert Dendrogram(5, merges, labels=labels).to_newick() == (
+            '((é:2,(x_1:1,a-b:1):1):1,(say"hi":1,2.5:1):2);')
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "-1.0"])
     def test_level_not_finite_nonnegative(self, bad):
@@ -294,6 +314,26 @@ class TestVerify:
         m = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], float)
         with pytest.raises(ValueError, match="tolerance nan"):
             verify(m, tol=float("nan"))
+
+    @pytest.mark.parametrize("verify", [verify_ultrametric, verify_metric])
+    @pytest.mark.parametrize("bad", [-1, 1.5, np.float64(2.0), True, "2"])
+    def test_bad_limit_rejected(self, verify, bad):
+        m = np.array([[0, 1, 3], [1, 0, 1], [3, 1, 0]], float)
+        with pytest.raises(ValueError, match=f"^limit {re.escape(repr(bad))} is not a nonnegative integer$"):
+            verify(m, limit=bad)
+
+    @pytest.mark.parametrize("verify", [verify_ultrametric, verify_metric])
+    def test_limit_stops_the_pivot_loop(self, monkeypatch, verify):
+        # distances spread over [1, 100): pivot 0 alone holds more than
+        # 3 violations of each inequality
+        rng = np.random.default_rng(5)
+        m = np.triu(10.0 ** rng.uniform(0, 2, size=(60, 60)), 1)
+        m += m.T
+        pivots = []
+        monkeypatch.setattr(dendrogram, "repeat", lambda i: pivots.append(i) or itertools.repeat(i))
+        assert verify(m, limit=0) == [] and pivots == []
+        assert len(verify(m, limit=3)) == 3 and pivots == [0]
+        assert len(verify(m, limit=np.int64(2))) == 2
 
     def test_violations_sorted(self):
         m = np.full((4, 4), 5.0)

@@ -7,6 +7,7 @@ every triple.
 """
 
 from itertools import combinations
+import re
 
 import numpy as np
 import pytest
@@ -680,12 +681,58 @@ def test_newick_equals_recursive_renderer(dend, labelled):
     assert dend.to_newick() == oracle_newick(dend)
 
 
+NEWICK_NAME = re.compile(r"[^\s()\[\]':;,]+")
+
+
+def newick_leaf_names(text):
+    """The leaf names of Newick text in order, read by the standard's
+    rule: a name in quotes, '' standing for ', or a run of characters
+    other than whitespace and ()[]':;,.  The one ';' must end the text."""
+    names, k = [], 0
+    while text[k] != ";":
+        if text[k] == "'":
+            end = text.index("'", k + 1)
+            while text.startswith("''", end):
+                end = text.index("'", end + 2)
+            names.append(text[k + 1:end].replace("''", "'"))
+            k = end + 1
+        elif text[k] == ":":
+            k = re.compile(r":[^,();]*").match(text, k).end()
+        elif text[k] in "(),":
+            k += 1
+        else:
+            name = NEWICK_NAME.match(text, k)
+            names.append(name.group())
+            k = name.end()
+    assert k == len(text) - 1
+    return names
+
+
+@settings(max_examples=150, deadline=None)
+@given(dendrograms(), st.data())
+def test_newick_names_read_back(dend, data):
+    n = dend.n_terminals
+    labels = data.draw(st.lists(st.text(" \t\n()[]':;,ab_", min_size=1), min_size=n, max_size=n,
+                                unique=True))
+    dend = Dendrogram(n, dend.merges, labels=tuple(labels))
+    assert newick_leaf_names(dend.to_newick()) == [labels[t] for t in dend.layout.order.tolist()]
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrices(), TOLS)
 def test_verifiers_equal_triple_loop(m, tol):
     d = m.values
     assert verify_ultrametric(m, tol) == oracle_violations(d, tol, ultra=True)
     assert verify_metric(m, tol) == oracle_violations(d, tol, ultra=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), TOLS, st.integers(0, 230))
+def test_verifier_limit_is_a_slice(m, tol, limit):
+    for verify, ultra in ((verify_ultrametric, True), (verify_metric, False)):
+        full = oracle_violations(m.values, tol, ultra)
+        assert verify(m, tol, limit=limit) == full[:limit]
+        assert verify(m, tol, limit=len(full)) == full
 
 
 @settings(max_examples=100, deadline=None)
