@@ -56,18 +56,19 @@ def _each_block(fn, n) -> list:
     over _cpus() threads, the calling thread taking the first share.
 
     numpy releases the GIL inside its ufunc loops, so the blocks run at
-    once.  fn must write no rows but its own, and set any numpy state it
-    needs (errstate, bufsize) itself: a new thread starts with numpy's
-    defaults.  One block or one CPU runs in the calling thread.  Every
-    thread is joined before the first error (by block) is raised, the
-    error the serial loop would raise.
+    once.  fn must write no rows but its own.  Every block runs under the
+    caller's errstate; any other numpy state fn needs (bufsize) it sets
+    itself, since a new thread starts with numpy's defaults.  One block
+    or one CPU starts no thread, and a share whose thread cannot be
+    started runs in the calling thread.  Every started thread is joined
+    before the first error (by block) is raised, the error the serial
+    loop would raise.
     """
     blocks = _row_blocks(n)
-    k = min(len(blocks), _cpus()) if len(blocks) > 1 else 1
-    if k == 1:
-        return [fn(rows) for rows in blocks]
+    k = max(1, min(len(blocks), _cpus()))
     out = [None] * len(blocks)
     errors = {}
+    err = np.geterr()
 
     def share(first):
         for b in range(first, len(blocks), k):
@@ -77,10 +78,20 @@ def _each_block(fn, n) -> list:
                 errors[b] = exc
                 return
 
-    threads = [threading.Thread(target=share, args=(first,)) for first in range(1, k)]
-    for t in threads:
-        t.start()
+    def worker(first):
+        with np.errstate(**err):
+            share(first)
+
+    threads = []
     try:
+        for first in range(1, k):
+            t = threading.Thread(target=worker, args=(first,))
+            try:
+                t.start()
+            except RuntimeError:  # no thread to be had (a pids limit, say)
+                share(first)
+            else:
+                threads.append(t)
         share(0)
     finally:
         for t in threads:
@@ -132,27 +143,23 @@ class DistanceMatrix:
         v = np.asarray(self.values, dtype=float)
         square = v.ndim == 2 and v.shape[0] == v.shape[1]
         finite = square or bool(np.isfinite(v).all())  # square: checked below
-
-        def check(rows):
-            """(finite, nonneg, exact, symmetric) of a block of rows, where
-            symmetry is np.allclose(v, v.T): |v_ij - v_ji| <= 1e-8 + 1e-5 |v_ji|"""
+        symmetric = nonneg = exact = True
+        # one pass over blocks of rows, without n x n temporaries; symmetry
+        # is np.allclose(v, v.T): |v_ij - v_ji| <= 1e-8 + 1e-5 |v_ji|
+        for rows in _row_blocks(v.shape[0] if square else 0):
             x, y = v[rows], v[:, rows].T
             low, high = x.min(), x.max()
+            finite = finite and bool(np.isfinite(low) and np.isfinite(high))
+            nonneg = nonneg and low >= 0
             with np.errstate(invalid="ignore"):  # inf - inf, as in np.allclose
                 diff = x - y
-            finite_nonneg = bool(np.isfinite(low) and np.isfinite(high)), bool(low >= 0)
-            if not diff.any():  # rows equal to their columns need no tolerance
-                return *finite_nonneg, True, True
-            np.abs(diff, out=diff)
-            tol = np.abs(y)
-            tol *= 1e-5
-            tol += 1e-8
-            return *finite_nonneg, False, bool((diff <= tol).all())
-
-        # one pass over blocks of rows, without n x n temporaries
-        checks = _each_block(check, v.shape[0] if square else 0)
-        finite = finite and all(c[0] for c in checks)
-        nonneg, exact, symmetric = (all(c[k] for c in checks) for k in (1, 2, 3))
+            if diff.any():  # rows equal to their columns need no tolerance
+                exact = False
+                np.abs(diff, out=diff)
+                tol = np.abs(y)
+                tol *= 1e-5
+                tol += 1e-8
+                symmetric = symmetric and bool((diff <= tol).all())
         if not finite:
             raise ValueError("distances must be finite")
         if not square:
@@ -550,7 +557,7 @@ def verify_ultrametric(m, tol: float = 0.0, *, limit=None):
         from .linkage import mst_cluster  # not at the top: linkage imports this module
 
         s = cophenetic_matrix(mst_cluster(DistanceMatrix._trusted(d))).values
-        if all(_each_block(lambda rows: (d[rows] - s[rows]).max() <= tol, n)):
+        if all((d[rows] - s[rows]).max() <= tol for rows in _row_blocks(n)):
             return []
     return _violations(d, tol, ultra=True, limit=limit)
 

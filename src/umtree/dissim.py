@@ -195,7 +195,7 @@ def euclidean_matrix(data) -> DistanceMatrix:
     # place, about twice as fast at n = 1000
     bufsize = max(16, n - n % 16)
 
-    def fill(rows):  # each block sets its own numpy state: it may run in a new thread
+    def fill(rows):  # each block sets its own bufsize: it may run in a new thread
         out = d[rows]
         t = np.empty_like(out)
         old = np.setbufsize(bufsize)

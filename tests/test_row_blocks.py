@@ -1,9 +1,10 @@
 """The row-block matrix passes on one CPU and on several.
 
 _each_block deals the blocks of rows round-robin over the CPUs in the
-process's affinity mask.  Each pass must give the same bits, the same
-errors and the same messages whatever that count is, and leave the
-caller's numpy state as it found it.
+process's affinity mask.  The passes that go through it (the
+euclidean_matrix fill and the cophenetic_matrix permutation) must give
+the same bits, the same errors and the same messages whatever that count
+is, and leave the caller's numpy state as it found it.
 """
 
 import os
@@ -14,13 +15,11 @@ import warnings
 import numpy as np
 import pytest
 
-from umtree import cophenetic_matrix, euclidean_matrix, verify_ultrametric
+from umtree import euclidean_matrix
 from umtree import dendrogram
 from umtree.dendrogram import _BLOCK, _each_block, _row_blocks
 
-import test_dendrogram
 import test_tree_oracles as oracles
-from conftest import random_dendrogram
 
 OVERFLOW = "^a squared Euclidean distance overflows float64"
 
@@ -85,6 +84,48 @@ class TestEachBlock:
         assert err.value.args == (3 * (_BLOCK // 1000),)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("fails", [{1, 2}, {2}])
+    def test_share_without_a_thread_runs_in_caller(self, monkeypatch, fails):
+        """A thread that cannot be started leaves its share to the caller;
+        the threads started before it are joined all the same."""
+        monkeypatch.setattr(dendrogram, "_cpus", lambda: 3)
+        start, calls = threading.Thread.start, []
+
+        def flaky_start(thread):
+            calls.append(thread)
+            if len(calls) in fails:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", flaky_start)
+        before = threading.active_count()
+        caller = threading.current_thread()
+        ran_in = _each_block(lambda rows: threading.current_thread(), 1000)
+        assert threading.active_count() == before
+        assert len(calls) == 2
+        assert all(ran_in[b] is ran_in[b % 3] for b in range(len(ran_in)))
+        assert [ran_in[s] is caller for s in range(3)] == [True] + [s in fails for s in (1, 2)]
+
+    def test_blocks_run_under_caller_errstate(self, cpus):
+        with np.errstate(under="raise", divide="ignore", invalid="warn"):
+            want = np.geterr()
+            assert _each_block(lambda rows: np.geterr(), 1000) == [want] * len(_row_blocks(1000))
+
+    def test_worker_block_raises_under_caller_errstate(self, cpus):
+        """An underflow the caller asked to raise is raised from whichever
+        thread meets it, as the serial loop raises it."""
+        step = _BLOCK // 1000
+
+        def fn(rows):
+            x = np.float64(1e-200 if rows.start // step in (1, 3) else 1.0)
+            return x * x
+
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+            _each_block(fn, 1000)
+        assert np.geterr()["under"] == "ignore"
+        with np.errstate(under="ignore"):
+            assert _each_block(fn, 1000)[1] == 0.0
+
 
 def test_more_threads_than_cpus_lose_no_block(monkeypatch, cdist):
     """Eight threads on a short switch interval: every block's result and
@@ -143,23 +184,6 @@ def test_caller_numpy_state_unchanged(cpus):
 @pytest.mark.parametrize("n", [300, 1000, oracles._one_row_last_block()])
 def test_cophenetic_matrix_over_row_blocks(cpus, n):
     oracles.test_cophenetic_matrix_over_row_blocks(n)
-
-
-def test_certificate_over_row_blocks(cpus):
-    rng = np.random.default_rng(7)
-    d = cophenetic_matrix(random_dendrogram(rng, 600)).values.copy()
-    assert verify_ultrametric(d) == []
-    d[450, 20] = d[20, 450] = d[450, 20] * 1.5 + 1.0
-    found = verify_ultrametric(d, limit=10)
-    assert len(found) == 10 and all(slack > 0 for *_, slack in found)
-
-
-class TestDistanceMatrixOverCpus(test_dendrogram.TestDistanceMatrix):
-    """Every TestDistanceMatrix check, on one CPU and on two."""
-
-    @pytest.fixture(autouse=True)
-    def _cpus(self, cpus):
-        pass
 
 
 def test_cli_import_leaves_out_thread_pools():
