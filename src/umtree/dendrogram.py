@@ -221,12 +221,12 @@ class Dendrogram:
     merges[r - 1] = (left_child, right_child, level) for rank r in 1..n-1.
     Child ids are integers and levels are real numbers (numpy scalars kept
     as int and float; bools are neither).  Levels must be nonnegative and
-    non-decreasing along containment; strictness can be checked separately
-    (equal merge costs are common for tied input distances).  raw_levels
-    optionally preserves levels prior to monotonicity repair (median
-    linkage can invert, and so can rounding on tied data): n - 1 finite
-    numbers, kept as float.  They are not compared and not written to
-    JSON, so a repaired tree equals the tree read back from its JSON.
+    non-decreasing along containment (equal merge costs are common for
+    tied input distances).  raw_levels optionally preserves levels prior
+    to monotonicity repair (median linkage can invert, and so can
+    rounding on tied data): n - 1 finite numbers, kept as float.  They
+    are not compared and not written to JSON, so a repaired tree equals
+    the tree read back from its JSON.
     """
 
     n_terminals: int
@@ -384,21 +384,21 @@ class Dendrogram:
             node = parent.item(node)
         return path
 
-    def contains(self, node: int, terminal: int) -> bool:
-        """Whether terminal descends from node (an interval test)."""
-        lay = self.layout
-        return self.is_terminal(terminal) and bool(lay.lo[node] <= lay.lo[terminal] < lay.hi[node])
-
-    def members(self, node: int) -> frozenset:
+    def _span(self, node: int) -> tuple:
+        """Layout slice [lo, hi) of node's terminals; IndexError off the tree."""
         if not (0 <= node < self.n_nodes):
             raise IndexError(f"node {node} out of range")
         lay = self.layout
-        return frozenset(lay.order[lay.lo[node]:lay.hi[node]].tolist())
+        return lay.lo.item(node), lay.hi.item(node)
 
-    def check_strict_levels(self) -> bool:
-        """True iff levels strictly increase along containment."""
-        level = [0.0] * self.n_terminals + [lev for _, _, lev in self.merges]
-        return all(level[a] < lev and level[b] < lev for a, b, lev in self.merges)
+    def contains(self, node: int, terminal: int) -> bool:
+        """Whether terminal descends from node (an interval test)."""
+        lo, hi = self._span(node)
+        return self.is_terminal(terminal) and lo <= self.layout.lo.item(terminal) < hi
+
+    def members(self, node: int) -> frozenset:
+        lo, hi = self._span(node)
+        return frozenset(self.layout.order[lo:hi].tolist())
 
     # -- level re-assignment ----------------------------------------------
 

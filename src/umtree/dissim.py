@@ -38,7 +38,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Table:
-    """Rectangular numeric table with optional row/column labels."""
+    """Rectangular numeric table with optional row/column labels.
+
+    The one check of tabular input: euclidean_matrix, haar.forward and
+    setvalued_table wrap an array argument in a Table, so each rejects
+    a table that is not 2-d or not finite with the messages below.
+    """
 
     values: np.ndarray
     row_labels: tuple = None
@@ -181,11 +186,7 @@ def euclidean_matrix(data) -> DistanceMatrix:
     the bits of scipy's cdist(x, x), and exactly symmetric, since
     (a - b)^2 == (b - a)^2 and both entries are summed in the same order.
     """
-    x = np.asarray(data.values if isinstance(data, Table) else data, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"table must be 2-dimensional, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("table values must be finite")
+    x = (data if isinstance(data, Table) else Table(data)).values
     n = x.shape[0]
     cols = np.ascontiguousarray(x.T)
     d = np.zeros((n, n))
@@ -360,8 +361,8 @@ class SetValuedDistanceTable:
 def setvalued_table(data) -> SetValuedDistanceTable:
     """The set-valued distance table of a boolean table: its rows packed
     into attribute masks, bit j set iff the row has attribute j."""
-    x = data.values if isinstance(data, Table) else np.asarray(data, float)
+    table = data if isinstance(data, Table) else Table(data)
+    x = table.values
     if not np.isin(x, (0.0, 1.0)).all():
         raise ValueError("boolean table must contain only 0 and 1")
-    labels = (data.row_labels, data.col_labels) if isinstance(data, Table) else (None, None)
-    return SetValuedDistanceTable(x.shape[1], row_masks(x == 1), *labels)
+    return SetValuedDistanceTable(table.m, row_masks(x == 1), table.row_labels, table.col_labels)

@@ -97,10 +97,11 @@ def _height_passes(dend: Dendrogram) -> list:
 
 
 def forward(dend: Dendrogram, data) -> HaarTransform:
-    """Forward transform of one data row per terminal."""
-    x = data.values if isinstance(data, Table) else np.asarray(data, float)
-    if x.ndim == 1:
-        x = x[:, None]
+    """Forward transform of one data row per terminal: data is a Table,
+    an array that Table accepts, or a 1-d signal, read as one column."""
+    if not isinstance(data, Table):
+        data = Table(np.reshape(data, (-1, 1)) if np.ndim(data) == 1 else data)
+    x = data.values
     if x.shape[0] != dend.n_terminals:
         raise ValueError(f"{x.shape[0]} rows for {dend.n_terminals} terminals")
     n = dend.n_terminals
@@ -163,14 +164,10 @@ def approximation_chain(ht: HaarTransform, terminal: int):
     return list(zip(rows, _row_norms(rows - rows[-1]).tolist()))
 
 
-def threshold_regress(ht: HaarTransform, tau: float, per_coordinate: bool = False) -> HaarTransform:
-    """Hard-threshold regression: zero every detail with norm < tau.
-
-    per_coordinate applies the threshold to individual entries instead of
-    the Euclidean norm of each detail vector.
-    """
+def threshold_regress(ht: HaarTransform, tau: float) -> HaarTransform:
+    """Hard-threshold regression: zero every detail whose Euclidean norm
+    is below tau."""
     if not tau >= 0:  # also NaN
         raise ValueError(f"threshold {tau!r} must be nonnegative")
-    d = ht.details
-    small = np.abs(d) < tau if per_coordinate else (_row_norms(d) < tau)[:, None]
-    return replace(ht, details=np.where(small, 0.0, d))
+    small = _row_norms(ht.details) < tau
+    return replace(ht, details=np.where(small[:, None], 0.0, ht.details))

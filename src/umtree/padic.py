@@ -184,23 +184,3 @@ def check_spherical_completeness(dend: Dendrogram) -> bool:
     lo, hi = lay.lo.tolist(), lay.hi.tolist()
     return all(lo[p] <= lo[c] < hi[c] <= hi[p] and hi[c] - lo[c] < hi[p] - lo[p]
                for c, p in enumerate(lay.parent.tolist()) if p != -1)
-
-
-def dilation_cluster_map(dend: Dendrogram):
-    """Clusters at each rank before and after one dilation.
-
-    Returns, per rank level l, the partition of terminals induced by the
-    codes truncated below l; consecutive levels show each cluster either
-    unchanged or merged with exactly one other.  Two codes agree above
-    rank l iff their terminals sit under one node of rank <= l, so level l
-    is the partition left by the first l merges (clusters in order of
-    their smallest terminal).
-    """
-    n = dend.n_terminals
-    clusters = {t: frozenset([t]) for t in range(n)}  # node -> members
-    out = [sorted(clusters.values(), key=min)]
-    for node in range(n, dend.n_nodes):
-        a, b = dend.children(node)
-        clusters[node] = clusters.pop(a) | clusters.pop(b)
-        out.append(sorted(clusters.values(), key=min))
-    return out

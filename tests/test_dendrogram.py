@@ -38,13 +38,13 @@ class TestDendrogram:
         assert d.rank(3) == 1
         assert d.branch_label(3, 1) == +1
         assert d.branch_label(3, 2) == -1
-        assert d.check_strict_levels()
 
-    @pytest.mark.parametrize("node", [-1, -4, 7, 100])
+    @pytest.mark.parametrize("node", [-1, -4, 7, 8, 100])
     def test_node_outside_the_tree_named(self, node):
         # merges[node - n] would wrap a negative id round to another merge
         d = Dendrogram(4, ((0, 1, 1.0), (2, 3, 2.0), (4, 5, 3.0)))
-        for accessor in (d.children, d.rank, d.level, lambda v: d.branch_label(v, 4)):
+        for accessor in (d.children, d.rank, d.level, lambda v: d.branch_label(v, 4),
+                         lambda v: d.contains(v, 0), d.members):
             with pytest.raises(IndexError, match=f"^node {node} out of range$"):
                 accessor(node)
 

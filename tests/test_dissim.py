@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from umtree import (
+    Dendrogram,
     DistanceMatrix,
     SetValuedDistanceTable,
     Table,
     euclidean_matrix,
+    forward,
     load_csv,
     setvalued_table,
     verify_metric,
@@ -574,3 +576,72 @@ class TestTable:
     def test_rejects_label_mismatch(self):
         with pytest.raises(ValueError):
             Table(np.ones((2, 2)), row_labels=("a",))
+
+
+TREE3 = Dendrogram(3, ((0, 1, 1.0), (2, 3, 2.0)))
+
+# the entry points that read a table, each on three rows
+GATED = {
+    "euclidean_matrix": euclidean_matrix,
+    "forward": lambda x: forward(TREE3, x),
+    "setvalued_table": setvalued_table,
+}
+
+
+class TestTableGate:
+    """euclidean_matrix, forward and setvalued_table check a table only by
+    wrapping an array argument in a Table, so each raises Table's message."""
+
+    @pytest.mark.parametrize("name, x", [
+        ("euclidean_matrix", [1.0, 0.0, 1.0]),
+        ("setvalued_table", [1, 0, 1]),  # once an IndexError of x.shape[1]
+        *((name, np.ones((3, 2, 2))) for name in GATED),  # setvalued_table once took it
+    ], ids=lambda v: v if isinstance(v, str) else f"{np.ndim(v)}-D")
+    def test_not_2_dimensional_named(self, name, x):
+        shape = re.escape(str(np.shape(x)))
+        with pytest.raises(ValueError, match=f"^table must be 2-dimensional, got shape {shape}$"):
+            GATED[name](x)
+
+    @pytest.mark.parametrize("name", GATED)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_named(self, name, bad):
+        # forward once returned NaN details, and warned on inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^table values must be finite$"):
+                GATED[name](np.array([[bad, 1.0], [1.0, 0.0], [0.0, 1.0]]))
+            with pytest.raises(ValueError, match="^table values must be finite$"):
+                GATED[name]([[bad], [1.0], [0.0]])
+
+    def test_signal_read_as_one_column(self):
+        signal = [0.5, -2.0, 7.25]
+        column = forward(TREE3, np.array(signal)[:, None])
+        for x in (signal, np.array(signal), Table(np.array(signal)[:, None])):
+            got = forward(TREE3, x)
+            assert got.smooth.tobytes() == column.smooth.tobytes()
+            assert got.details.tobytes() == column.details.tobytes()
+        with pytest.raises(ValueError, match="^table values must be finite$"):
+            forward(TREE3, [np.nan, 1.0, 2.0])
+
+    @pytest.mark.parametrize("name", GATED)
+    def test_table_and_array_give_the_same_bits(self, name, rng):
+        x = (rng.random((3, 4)) > 0.5).astype(float) if name == "setvalued_table" else rng.normal(size=(3, 4))
+        table = Table(x, ("a", "b", "c"), ("p", "q", "r", "s"))
+        by_array, by_list, by_table = (GATED[name](v) for v in (x, x.tolist(), table))
+        if name == "setvalued_table":
+            assert by_array.rows == by_list.rows == by_table.rows
+            assert by_array.n_attributes == by_table.n_attributes == 4
+            assert (by_array.object_labels, by_array.attribute_labels) == (None, None)
+            assert (by_table.object_labels, by_table.attribute_labels) == (table.row_labels, table.col_labels)
+        else:
+            for field in ("values",) if name == "euclidean_matrix" else ("smooth", "details"):
+                bits = {getattr(v, field).tobytes() for v in (by_array, by_list, by_table)}
+                assert len(bits) == 1
+
+    @pytest.mark.parametrize("name", GATED)
+    def test_table_not_checked_again(self, name, monkeypatch):
+        table = Table(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        checked = []
+        monkeypatch.setattr(Table, "__post_init__", checked.append)
+        GATED[name](table)
+        assert checked == []

@@ -211,12 +211,6 @@ class TestThresholdRegress:
         for r in range(1, 8):
             np.testing.assert_array_equal(once.details[r - 1], twice.details[r - 1])
 
-    def test_per_coordinate_mode(self):
-        _, _, ht = iris_transform()
-        out = threshold_regress(ht, 0.06, per_coordinate=True)
-        expected = np.where(np.abs(ht.details[2]) < 0.06, 0.0, ht.details[2])
-        np.testing.assert_array_equal(out.details[2], expected)
-
     def test_negative_tau_rejected(self):
         _, _, ht = iris_transform()
         with pytest.raises(ValueError):

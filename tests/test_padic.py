@@ -272,15 +272,3 @@ class TestSphericalCompleteness:
         lay.lo[child], lay.hi[child] = lo, hi
         assert not check_spherical_completeness(t)
 
-
-class TestDilationClusterMap:
-    def test_merge_or_stay(self, rng):
-        from umtree.padic import dilation_cluster_map
-
-        t = random_dendrogram(rng, 9, rank_levels=True)
-        levels = dilation_cluster_map(t)
-        for before, after in zip(levels, levels[1:]):
-            for cluster in after:
-                parts = [c for c in before if c <= cluster]
-                assert frozenset().union(*parts) == cluster
-                assert len(parts) in (1, 2)

@@ -35,7 +35,6 @@ from umtree import (
 from umtree import padic
 from umtree.dendrogram import _BLOCK
 from umtree.haar import _node_rows
-from umtree.padic import dilation_cluster_map
 
 from conftest import caterpillar, random_dendrogram
 
@@ -134,10 +133,6 @@ def oracle_threshold_regress(ht, tau):
     return np.array(rows).reshape(ht.details.shape)
 
 
-def oracle_threshold_entries(ht, tau):
-    return np.array([np.where(np.abs(d) < tau, 0.0, d) for d in ht.details]).reshape(ht.details.shape)
-
-
 def oracle_code(tree, t):
     coeffs = {}
     node = t
@@ -201,19 +196,6 @@ def oracle_canonical_swaps(dend):
         node: min(tree.members[a]) > min(tree.members[b])
         for node, (a, b, _) in enumerate(dend.merges, start=tree.n)
     }
-
-
-def oracle_dilation_map(dend):
-    tree = OracleTree(dend)
-    codes = [oracle_code(tree, t) for t in range(tree.n)]
-    out = []
-    for cut in range(tree.n):
-        groups = {}
-        for t, code in enumerate(codes):
-            key = tuple(sorted((j, c) for j, c in code.items() if j > cut))
-            groups.setdefault(key, set()).add(t)
-        out.append(sorted(map(frozenset, groups.values()), key=sorted))
-    return out
 
 
 def oracle_newick(dend):
@@ -296,18 +278,6 @@ def oracle_layout(dend):
     order = np.empty(n, dtype=int)
     order[lo[:n]] = np.arange(n)
     return order, lo, lo + np.array(size), np.array(parent), np.array(height)
-
-
-def oracle_strict_levels(dend):
-    """The earlier check_strict_levels: a rule for internal children, and
-    a separate positive-level rule for every internal node."""
-    for node in range(dend.n_terminals, dend.n_nodes):
-        for c in dend.children(node):
-            if c >= dend.n_terminals and not dend.level(c) < dend.level(node):
-                return False
-        if dend.level(node) <= 0:
-            return False
-    return True
 
 
 # -- strategies -------------------------------------------------------------
@@ -579,17 +549,6 @@ def test_threshold_regress_equals_per_detail_norms(case):
             np.testing.assert_array_equal(got[r - 1], want[r - 1])
 
 
-@settings(max_examples=60, deadline=None)
-@given(tree_data())
-def test_per_coordinate_threshold_equals_per_detail_where(case):
-    dend, x = case
-    ht = forward(dend, x)
-    # a tau at an entry's own magnitude keeps that entry
-    for tau in [0.0, np.inf, *np.abs(ht.details).ravel().tolist()]:
-        got = threshold_regress(ht, tau, per_coordinate=True).details
-        assert_bits(got, oracle_threshold_entries(ht, tau))
-
-
 @settings(max_examples=100, deadline=None)
 @given(tree_data())
 def test_sign_is_membership(case):
@@ -662,13 +621,12 @@ def test_spherical_completeness_reads_no_member_sets(monkeypatch):
 
 @settings(max_examples=150, deadline=None)
 @given(dendrograms())
-def test_members_canonicalize_and_dilation_map(dend):
+def test_members_and_canonicalize(dend):
     tree = OracleTree(dend)
     for node in range(dend.n_nodes):
         assert dend.members(node) == tree.members[node]
     canon, perm = canonicalize(dend)
     assert perm == oracle_canonical_swaps(dend)
-    assert dilation_cluster_map(dend) == oracle_dilation_map(dend)
 
 
 @settings(max_examples=150, deadline=None)
@@ -759,12 +717,6 @@ def test_validation_equals_two_loop_check(case):
         dend = Dendrogram(n, tuple(merges), labels=labels)
         assert dend.merges == want
         assert all(type(a) is type(b) is int and type(lev) is float for a, b, lev in dend.merges)
-
-
-@settings(max_examples=200, deadline=None)
-@given(dendrograms())
-def test_strict_levels_equal_per_node_rules(dend):
-    assert dend.check_strict_levels() == oracle_strict_levels(dend)
 
 
 @pytest.mark.parametrize("merges, message", [
